@@ -57,27 +57,29 @@ void Run() {
                                    "t91_sf50_fault"));
 
     // ResetFaults() also clears the injector's counters, so the totals for
-    // the table are accumulated per arm rather than read at the end.
+    // the table are accumulated per arm rather than read at the end; retries
+    // and dropped prefetches are summed from each arm's own query metrics.
     uint64_t injected_errors = 0;
-    const auto harvest = [&] {
+    uint64_t read_retries = 0;
+    uint64_t dropped_prefetches = 0;
+    // Paired arms: both modes replay against an identical fault sequence.
+    const auto run_arm = [&](size_t ti, RunMode mode) {
+      env.ResetFaults();
+      const QueryRunMetrics m =
+          system.RunQuery(workload.queries[ti], mode, PrefetcherOptions{});
+      CheckRun(m, mode, ti);
       if (env.fault_injector() != nullptr) {
         injected_errors += env.fault_injector()->stats().injected_errors;
       }
+      read_retries += m.pool_stats.read_retries;
+      dropped_prefetches += m.prefetch_stats.dropped_faulty;
+      return m;
     };
 
     std::vector<double> speedups;
     for (size_t ti : workload.test_indices) {
-      // Paired arms: both modes replay against an identical fault sequence.
-      env.ResetFaults();
-      const QueryRunMetrics dflt = system.RunQuery(
-          workload.queries[ti], RunMode::kDefault, PrefetcherOptions{});
-      CheckRun(dflt, RunMode::kDefault, ti);
-      harvest();
-      env.ResetFaults();
-      const QueryRunMetrics pythia = system.RunQuery(
-          workload.queries[ti], RunMode::kPythia, PrefetcherOptions{});
-      CheckRun(pythia, RunMode::kPythia, ti);
-      harvest();
+      const QueryRunMetrics dflt = run_arm(ti, RunMode::kDefault);
+      const QueryRunMetrics pythia = run_arm(ti, RunMode::kPythia);
       speedups.push_back(
           SafeDiv(static_cast<double>(dflt.elapsed_us),
                   static_cast<double>(pythia.elapsed_us)));
@@ -87,27 +89,29 @@ void Run() {
     if (rate.error_prob == 0.0 && rate.spike_prob == 0.0) {
       fault_free_median = median;
     }
-    const RobustnessCounters& rc = system.robustness();
+    // The breaker counts every query it degraded to the plain buffer
+    // manager as a rejection.
+    const CircuitBreakerStats& breaker = system.breaker().stats();
     table.AddRow({TablePrinter::Num(rate.error_prob * 100, 2) + "%",
                   TablePrinter::Num(rate.spike_prob * 100, 2) + "%",
                   TablePrinter::Num(median, 2) + "x",
                   TablePrinter::Num(
                       SafeDiv(median, fault_free_median) * 100, 1) +
                       "%",
-                  std::to_string(rc.read_retries),
+                  std::to_string(read_retries),
                   std::to_string(injected_errors),
-                  std::to_string(rc.dropped_prefetches),
-                  std::to_string(rc.degraded_queries)});
+                  std::to_string(dropped_prefetches),
+                  std::to_string(breaker.rejected)});
     json.BeginObject()
         .Field("error_rate", rate.error_prob)
         .Field("spike_rate", rate.spike_prob)
         .Field("median_speedup", median)
         .Field("retained", SafeDiv(median, fault_free_median))
-        .Field("read_retries", rc.read_retries)
+        .Field("read_retries", read_retries)
         .Field("injected_errors", injected_errors)
-        .Field("dropped_prefetches", rc.dropped_prefetches)
-        .Field("degraded_queries", rc.degraded_queries)
-        .Field("breaker_trips", rc.breaker_trips)
+        .Field("dropped_prefetches", dropped_prefetches)
+        .Field("degraded_queries", breaker.rejected)
+        .Field("breaker_trips", breaker.trips)
         .EndObject();
   }
   json.EndArray().EndObject();

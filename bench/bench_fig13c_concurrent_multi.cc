@@ -46,10 +46,10 @@ void Run() {
       fetched.push_back(std::move(c));
     }
     env.ColdRestart();
-    const ConcurrentResult base = ReplayConcurrent(plain, &env);
+    const ConcurrentResult base = ReplayConcurrent(plain, {}, &env);
     CheckConcurrent(base, "DFLT");
     env.ColdRestart();
-    const ConcurrentResult pythia = ReplayConcurrent(fetched, &env);
+    const ConcurrentResult pythia = ReplayConcurrent(fetched, {}, &env);
     CheckConcurrent(pythia, "PYTHIA");
     table.AddRow(
         {TablePrinter::Int(static_cast<long long>(level)),

@@ -71,10 +71,10 @@ void Run() {
       return queries;
     };
     env.ColdRestart();
-    const ConcurrentResult base = ReplayConcurrent(build(false), &env);
+    const ConcurrentResult base = ReplayConcurrent(build(false), {}, &env);
     CheckConcurrent(base, "DFLT");
     env.ColdRestart();
-    const ConcurrentResult pythia = ReplayConcurrent(build(true), &env);
+    const ConcurrentResult pythia = ReplayConcurrent(build(true), {}, &env);
     CheckConcurrent(pythia, "PYTHIA");
     table.AddRow(
         {TablePrinter::Num(overlap * 100, 0) + "%",

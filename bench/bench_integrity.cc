@@ -58,6 +58,19 @@ void CorruptionSweep(const Database& db, const Workload& workload,
                        CachedModel(db, workload, DefaultPredictor(),
                                    "t91_sf50_fault"));
 
+    // Retries and drops caused by corruption are summed over both arms'
+    // query metrics.
+    uint64_t corrupt_read_retries = 0;
+    uint64_t corrupt_prefetch_drops = 0;
+    const auto run = [&](size_t ti, RunMode mode) {
+      const QueryRunMetrics m =
+          system.RunQuery(workload.queries[ti], mode, PrefetcherOptions{});
+      CheckRun(m, mode, ti);
+      corrupt_read_retries += m.pool_stats.corrupt_retries;
+      corrupt_prefetch_drops += m.prefetch_stats.dropped_corrupt;
+      return static_cast<double>(m.elapsed_us);
+    };
+
     // Paired *arms*: each arm replays the whole test set against the same
     // injector stream from the same starting point. Resetting per query
     // would rewind the corruption stream every time, replaying the same
@@ -65,27 +78,24 @@ void CorruptionSweep(const Database& db, const Workload& workload,
     // draw usually lies beyond one query's reads, and nothing would ever
     // corrupt.
     env.ResetFaults();
-    std::vector<double> dflt_us, pythia_us;
+    std::vector<double> dflt_us;
     for (size_t ti : workload.test_indices) {
-      const QueryRunMetrics dflt = system.RunQuery(
-          workload.queries[ti], RunMode::kDefault, PrefetcherOptions{});
-      CheckRun(dflt, RunMode::kDefault, ti);
-      dflt_us.push_back(static_cast<double>(dflt.elapsed_us));
+      dflt_us.push_back(run(ti, RunMode::kDefault));
     }
     env.ResetFaults();
     std::vector<double> speedups;
     for (size_t i = 0; i < workload.test_indices.size(); ++i) {
-      const size_t ti = workload.test_indices[i];
-      const QueryRunMetrics pythia = system.RunQuery(
-          workload.queries[ti], RunMode::kPythia, PrefetcherOptions{});
-      CheckRun(pythia, RunMode::kPythia, ti);
       speedups.push_back(
-          SafeDiv(dflt_us[i], static_cast<double>(pythia.elapsed_us)));
+          SafeDiv(dflt_us[i], run(workload.test_indices[i], RunMode::kPythia)));
     }
 
     const double median = Summarize(speedups).median;
     if (rate.bit_flip == 0.0) clean_median = median;
-    const RobustnessCounters& rc = system.robustness();
+    // Injection counts cover the PYTHIA arm: ResetFaults() clears them.
+    const FaultStats injected = env.fault_injector() != nullptr
+                                    ? env.fault_injector()->stats()
+                                    : FaultStats();
+    const uint64_t degraded_queries = system.breaker().stats().rejected;
     const SimulatedDisk::Stats disk =
         env.disk() != nullptr ? env.disk()->stats() : SimulatedDisk::Stats();
     table.AddRow({TablePrinter::Num(rate.bit_flip, 5),
@@ -96,8 +106,8 @@ void CorruptionSweep(const Database& db, const Workload& workload,
                       "%",
                   std::to_string(disk.checksum_failures),
                   std::to_string(disk.stale_reads_caught),
-                  std::to_string(rc.corrupt_read_retries),
-                  std::to_string(rc.corrupt_prefetch_drops)});
+                  std::to_string(corrupt_read_retries),
+                  std::to_string(corrupt_prefetch_drops)});
     json->BeginObject()
         .Field("bit_flip_rate", rate.bit_flip)
         .Field("torn_write_rate", rate.torn_write)
@@ -108,12 +118,12 @@ void CorruptionSweep(const Database& db, const Workload& workload,
         .Field("verified_ok", disk.verified_ok)
         .Field("checksum_failures", disk.checksum_failures)
         .Field("stale_reads_caught", disk.stale_reads_caught)
-        .Field("injected_bit_flips", rc.injected_bit_flips)
-        .Field("injected_torn_writes", rc.injected_torn_writes)
-        .Field("injected_stale_reads", rc.injected_stale_reads)
-        .Field("corrupt_read_retries", rc.corrupt_read_retries)
-        .Field("corrupt_prefetch_drops", rc.corrupt_prefetch_drops)
-        .Field("degraded_queries", rc.degraded_queries)
+        .Field("injected_bit_flips", injected.injected_bit_flips)
+        .Field("injected_torn_writes", injected.injected_torn_writes)
+        .Field("injected_stale_reads", injected.injected_stale_reads)
+        .Field("corrupt_read_retries", corrupt_read_retries)
+        .Field("corrupt_prefetch_drops", corrupt_prefetch_drops)
+        .Field("degraded_queries", degraded_queries)
         .EndObject();
   }
   json->EndArray();
@@ -194,13 +204,13 @@ void DriftWatchdog(const Database& db, const Workload& trained,
   run_phase("recover", trained);
   json->EndArray();
 
-  const RobustnessCounters& rc = system.robustness();
+  const WatchdogStats& wd_stats = system.watchdog(0).stats();
   json->Key("stats")
       .BeginObject()
-      .Field("demotions", rc.watchdog_demotions)
-      .Field("probes", rc.watchdog_probes)
-      .Field("reinstatements", rc.watchdog_reinstatements)
-      .Field("degraded_queries", rc.watchdog_degraded_queries)
+      .Field("demotions", wd_stats.demotions)
+      .Field("probes", wd_stats.probes)
+      .Field("reinstatements", wd_stats.reinstatements)
+      .Field("degraded_queries", wd_stats.degraded_queries)
       .Field("final_health", PhaseHealth(system))
       .EndObject()
       .EndObject();
@@ -210,10 +220,10 @@ void DriftWatchdog(const Database& db, const Workload& trained,
   table.Print();
   std::printf("\nwatchdog: demotions=%llu probes=%llu reinstatements=%llu "
               "degraded_queries=%llu final=%s\n",
-              static_cast<unsigned long long>(rc.watchdog_demotions),
-              static_cast<unsigned long long>(rc.watchdog_probes),
-              static_cast<unsigned long long>(rc.watchdog_reinstatements),
-              static_cast<unsigned long long>(rc.watchdog_degraded_queries),
+              static_cast<unsigned long long>(wd_stats.demotions),
+              static_cast<unsigned long long>(wd_stats.probes),
+              static_cast<unsigned long long>(wd_stats.reinstatements),
+              static_cast<unsigned long long>(wd_stats.degraded_queries),
               PhaseHealth(system));
   std::printf("\nExpected shape: during drift the window ratio collapses "
               "and the model is demoted (degraded=yes rows run on the "

@@ -73,9 +73,9 @@ int main() {
       fetched.push_back(std::move(c));
     }
     env.ColdRestart();
-    const ConcurrentResult base = ReplayConcurrent(plain, &env);
+    const ConcurrentResult base = ReplayConcurrent(plain, {}, &env);
     env.ColdRestart();
-    const ConcurrentResult pythia = ReplayConcurrent(fetched, &env);
+    const ConcurrentResult pythia = ReplayConcurrent(fetched, {}, &env);
     if (!AllOk(base, "DFLT") || !AllOk(pythia, "PYTHIA")) return 1;
     table.AddRow(
         {TablePrinter::Int(static_cast<long long>(level)),
@@ -103,7 +103,7 @@ int main() {
     staggered.push_back(std::move(c));
   }
   env.ColdRestart();
-  const ConcurrentResult r = ReplayConcurrent(staggered, &env);
+  const ConcurrentResult r = ReplayConcurrent(staggered, {}, &env);
   if (!AllOk(r, "staggered")) return 1;
   for (size_t i = 0; i < 3; ++i) {
     std::printf("  query %zu: start %llu ms, end %llu ms (ran %.1f ms)\n", i,

@@ -51,10 +51,7 @@ void BatchPredictor::Submit(uint64_t ticket, const WorkloadQuery& query,
     done->push_back(std::move(out));
     return;
   }
-  const int64_t index = system_->WorkloadIndex(model);
-  PredictionKey key{index >= 0 ? static_cast<uint64_t>(index) : 0,
-                    model->revision(),
-                    PredictionCache::PlanKey(query.tokens)};
+  PredictionKey key = system_->PredictionKeyFor(*model, query);
   PredictionCache& cache = system_->prediction_cache();
   std::vector<PageId> pages;
   if (cache.Lookup(key, &pages)) {
@@ -63,13 +60,7 @@ void BatchPredictor::Submit(uint64_t ticket, const WorkloadQuery& query,
     ++stats_.served_from_cache;
     out.from_cache = true;
     out.pages = std::move(pages);
-    const std::unordered_set<PageId> predicted(out.pages.begin(),
-                                               out.pages.end());
-    const std::unordered_set<PageId> truth = model->RestrictToModeled(
-        ProcessTrace(query.trace, model->options().removal));
-    out.planned.engaged = true;
-    out.planned.accuracy = ComputeSetMetrics(predicted, truth);
-    out.planned.predicted_pages = out.pages.size();
+    FillPlanMetrics(*model, query, out.pages, &out.planned);
     done->push_back(std::move(out));
     return;
   }
@@ -204,13 +195,7 @@ void BatchPredictor::Flush(SimTime ready_us,
     out.planned = p.planned;
     out.deduped = !p.leader;
     out.pages = results.at(p.key);  // followers copy the leader's list
-    const std::unordered_set<PageId> predicted(out.pages.begin(),
-                                               out.pages.end());
-    const std::unordered_set<PageId> truth = p.model->RestrictToModeled(
-        ProcessTrace(p.query->trace, p.model->options().removal));
-    out.planned.engaged = true;
-    out.planned.accuracy = ComputeSetMetrics(predicted, truth);
-    out.planned.predicted_pages = out.pages.size();
+    FillPlanMetrics(*p.model, *p.query, out.pages, &out.planned);
     done->push_back(std::move(out));
   }
   pending_.clear();

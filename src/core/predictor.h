@@ -170,9 +170,12 @@ class WorkloadModel {
   uint64_t fingerprint() const { return fingerprint_; }
   void set_fingerprint(uint64_t f) { fingerprint_ = f; }
   // Prediction threshold may be adjusted after training (threshold sweeps
-  // reuse one trained model). Bumps the revision so memoized predictions
-  // for the old threshold are never served (core/prediction_cache.h).
+  // reuse one trained model). A change bumps the revision so memoized
+  // predictions for the old threshold are never served
+  // (core/prediction_cache.h); re-setting the same threshold keeps it, so
+  // a model loaded from the cache has the revision it was trained with.
   void set_threshold(float t) {
+    if (t == options_.threshold) return;
     options_.threshold = t;
     ++revision_;
   }

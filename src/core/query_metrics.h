@@ -52,6 +52,7 @@ struct QueryRunMetrics {
   // a query never ran and all its other fields are zero).
   Status status;
   SimTime elapsed_us = 0;
+  uint64_t completed_accesses = 0;  // page requests served before it ended
   bool engaged = false;          // Pythia matched a workload and prefetched
   // The rung of the degradation ladder that actually served this query.
   DegradationRung rung = DegradationRung::kFullNeural;

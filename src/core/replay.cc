@@ -155,48 +155,18 @@ ReplayResult ReplayQuery(const QueryTrace& trace,
                          const std::vector<PageId>& prefetch_pages,
                          const PrefetcherOptions& prefetch_options,
                          SimEnvironment* env) {
+  std::vector<ConcurrentQuery> solo(1);
+  solo[0].trace = &trace;
+  solo[0].prefetch_pages = prefetch_pages;
+  solo[0].prefetch_options = prefetch_options;
+  ConcurrentResult run = ReplayConcurrent(solo, {}, env);
+  QueryRunMetrics& m = run.queries[0];
   ReplayResult result;
-  const BufferPoolStats before = env->pool().stats();
-  const LatencyModel& latency = env->options().latency;
-
-  std::unique_ptr<PrefetchSession> session;
-  if (!prefetch_pages.empty()) {
-    PrefetcherOptions opts = prefetch_options;
-    if (opts.channel_breakers == nullptr) {
-      opts.channel_breakers = env->channel_breakers();
-    }
-    session = std::make_unique<PrefetchSession>(prefetch_pages, opts,
-                                                &env->pool(), &env->os_cache(),
-                                                &env->io(), latency);
-  }
-
-  SimTime now = 0;
-  for (const PageAccess& access : trace.accesses) {
-    now += static_cast<SimTime>(access.cpu_tuples_before) *
-           latency.cpu_per_tuple_us;
-    // Keep the tracer's context time fresh for record sites below this layer
-    // that carry no clock of their own (OS cache, simulated disk).
-    PYTHIA_TRACE_SET_TIME(now);
-    if (session != nullptr) session->Pump(now);
-    const Result<FetchResult> fetch = env->pool().FetchPage(access.page, now);
-    if (!fetch.ok()) {
-      // Unrecoverable foreground read: abort the query, releasing every
-      // prefetch pin so the pool is left clean for the next run.
-      result.status = fetch.status();
-      break;
-    }
-    now += fetch->latency_us;
-    ++result.completed_accesses;
-    if (session != nullptr) session->OnFetch(access.page, now);
-  }
-  if (session != nullptr) {
-    session->Finish();
-    result.prefetch_stats = session->stats();
-  }
-  result.elapsed_us = now;
-  PYTHIA_TRACE_SPAN("query", "replay", 0, now, "accesses",
-                    result.completed_accesses);
-  result.pool_stats = StatsDelta(env->pool().stats(), before);
+  result.status = std::move(m.status);
+  result.elapsed_us = m.elapsed_us;
+  result.completed_accesses = m.completed_accesses;
+  result.pool_stats = m.pool_stats;
+  result.prefetch_stats = m.prefetch_stats;
   return result;
 }
 
@@ -222,14 +192,17 @@ ConcurrentResult ReplayConcurrent(const std::vector<ConcurrentQuery>& queries,
   result.end_us.resize(n);
   result.queries.resize(n);
 
-  // Each concurrent query gets its own trace track; the event loop switches
-  // the tracer's current track as it context-switches between queries.
+  // Each query of a batch gets its own trace track; the event loop switches
+  // the tracer's current track as it context-switches between queries. A
+  // batch of one is a solo query: it stays on the caller's track, and the
+  // pool delta over the call is its own.
+  const bool solo = n == 1;
   Tracer& tracer = Tracer::Global();
   const bool tracing = tracer.enabled();
-  std::vector<uint32_t> tracks(tracing ? n : 0, 0);
-  if (tracing) {
-    for (size_t i = 0; i < n; ++i) tracks[i] = tracer.StartQueryTrack();
-  }
+  std::vector<uint32_t> tracks(tracing && !solo ? n : 0, 0);
+  for (uint32_t& track : tracks) track = tracer.StartQueryTrack();
+  const BufferPoolStats pool_before =
+      solo ? env->pool().stats() : BufferPoolStats{};
 
   size_t active = 0;
   std::deque<size_t> wait_queue;  // FIFO of kQueued indices
@@ -249,6 +222,7 @@ ConcurrentResult ReplayConcurrent(const std::vector<ConcurrentQuery>& queries,
     QueryRunMetrics& m = result.queries[i];
     m.status = std::move(status);
     m.elapsed_us = end - result.start_us[i];
+    m.completed_accesses = st.next_access;
     m.rung = MaxRung(m.rung, st.worst_rung);
     m.deadline_exceeded = st.deadline_exceeded;
     if (st.worst_rung != DegradationRung::kFullNeural ||
@@ -393,7 +367,7 @@ ConcurrentResult ReplayConcurrent(const std::vector<ConcurrentQuery>& queries,
 
     QueryState& st = states[pick];
     if (tracing) {
-      tracer.SetTrack(tracks[pick]);
+      if (!solo) tracer.SetTrack(tracks[pick]);
       tracer.SetTime(st.clock);
     }
 
@@ -442,63 +416,34 @@ ConcurrentResult ReplayConcurrent(const std::vector<ConcurrentQuery>& queries,
     result.makespan_us = std::max(result.makespan_us, result.end_us[i]);
     result.total_query_us += result.end_us[i] - result.start_us[i];
   }
+  if (solo) {
+    result.queries[0].pool_stats = StatsDelta(env->pool().stats(), pool_before);
+  }
   return result;
-}
-
-ConcurrentResult ReplayConcurrent(const std::vector<ConcurrentQuery>& queries,
-                                  SimEnvironment* env) {
-  return ReplayConcurrent(queries, ConcurrentOptions{}, env);
 }
 
 ParallelReplayResult ReplayParallelFleet(
     const std::vector<ParallelReplayThread>& threads,
     const ParallelReplayOptions& options, SimEnvironment* env) {
-  const LatencyModel& latency = env->options().latency;
   const size_t n = threads.size();
   ParallelReplayResult result;
   result.threads.resize(n);
   const BufferPoolStats stats_before = env->pool().stats();
   const BufferPoolLockStats lock_before = env->pool().lock_stats();
 
-  // Body of one fleet thread: the ReplayQuery loop minus tracer context
-  // switching (the tracer's SetTime/SetTrack are single-threaded; event
-  // recording itself is spinlock-guarded and safe, so sites below this
-  // layer stay harmless if tracing happens to be on).
+  // One fleet thread is one solo replay. The tracer's SetTime/SetTrack are
+  // single-threaded, which is why tracing must be off around this call
+  // (the engine only touches them when it is on).
   auto run_thread = [&](size_t idx) {
-    const ParallelReplayThread& in = threads[idx];
+    PrefetcherOptions opts = options.prefetch;
+    opts.governor = nullptr;  // the ladder is single-threaded control
+    const ReplayResult r = ReplayQuery(*threads[idx].trace,
+                                       threads[idx].prefetch_pages, opts, env);
     ParallelThreadResult& out = result.threads[idx];
-    std::unique_ptr<PrefetchSession> session;
-    if (!in.prefetch_pages.empty()) {
-      PrefetcherOptions opts = options.prefetch;
-      opts.governor = nullptr;  // the ladder is single-threaded control
-      // The breaker board IS thread-safe (one mutex, lock-free tracker
-      // reads), so fleet threads shed off browned-out channels too.
-      if (opts.channel_breakers == nullptr) {
-        opts.channel_breakers = env->channel_breakers();
-      }
-      session = std::make_unique<PrefetchSession>(
-          in.prefetch_pages, opts, &env->pool(), &env->os_cache(), &env->io(),
-          latency);
-    }
-    SimTime now = 0;
-    for (const PageAccess& access : in.trace->accesses) {
-      now += static_cast<SimTime>(access.cpu_tuples_before) *
-             latency.cpu_per_tuple_us;
-      if (session != nullptr) session->Pump(now);
-      const Result<FetchResult> fetch = env->pool().FetchPage(access.page, now);
-      if (!fetch.ok()) {
-        out.status = fetch.status();
-        break;
-      }
-      now += fetch->latency_us;
-      ++out.completed_accesses;
-      if (session != nullptr) session->OnFetch(access.page, now);
-    }
-    if (session != nullptr) {
-      session->Finish();
-      out.prefetch_stats = session->stats();
-    }
-    out.elapsed_us = now;
+    out.status = r.status;
+    out.elapsed_us = r.elapsed_us;
+    out.completed_accesses = r.completed_accesses;
+    out.prefetch_stats = r.prefetch_stats;
   };
 
   const auto wall_start = std::chrono::steady_clock::now();

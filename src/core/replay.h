@@ -148,7 +148,9 @@ struct ReplayResult {
   PrefetchSessionStats prefetch_stats;
 };
 
-// Replays one query. `prefetch_pages` empty means no prefetching (DFLT).
+// Replays one query: a batch of one for ReplayConcurrent below, arriving at
+// 0, with no loop-level governor (a governor in `prefetch_options` still
+// governs the session). `prefetch_pages` empty means no prefetching (DFLT).
 // Does not reset the environment — callers decide between cold and warm
 // runs.
 ReplayResult ReplayQuery(const QueryTrace& trace,
@@ -208,27 +210,29 @@ struct ConcurrentResult {
   std::vector<SimTime> end_us;
   // Full per-query outcome. status is ResourceExhausted for a rejected
   // query (which never ran), the replay error for one that died mid-run,
-  // OK otherwise. pool_stats stays zero here: the pool is shared, so
-  // per-query deltas are not separable in an interleaved batch —
-  // prefetch_stats (from the query's own session) are exact per query.
+  // OK otherwise. pool_stats stays zero in a batch of two or more: the pool
+  // is shared, so per-query deltas are not separable in an interleaved
+  // batch — prefetch_stats (from the query's own session) are exact per
+  // query. A batch of one gets the pool delta over the call.
   std::vector<QueryRunMetrics> queries;
   AdmissionStats admission;
   SimTime makespan_us = 0;      // last end
   SimTime total_query_us = 0;   // sum of per-query run times (end - start)
 };
 
-// Event-driven interleaved replay of several queries sharing the buffer
-// pool, OS cache and I/O channels (Section 5.4). Queries run "in parallel":
-// each advances its own virtual clock; shared state is updated in global
-// time order. Every admitted query completes — admission, deadlines and
-// governor shedding degrade service, never abandon work.
-ConcurrentResult ReplayConcurrent(const std::vector<ConcurrentQuery>& queries,
-                                  const ConcurrentOptions& options,
-                                  SimEnvironment* env);
-
-// Pre-overload-protection behaviour: unlimited admission, no deadlines, no
+// The replay engine: the one per-access loop behind every entry point
+// (ReplayQuery, PythiaSystem::RunQuery and each ReplayParallelFleet thread
+// are batches of one). Event-driven interleaved replay of queries sharing
+// the buffer pool, OS cache and I/O channels (Section 5.4). Queries run "in
+// parallel": each advances its own virtual clock; shared state is updated
+// in global time order. Every admitted query completes — admission,
+// deadlines and governor shedding degrade service, never abandon work.
+// Each query of a batch records on its own trace track; a batch of one
+// records on the caller's current track. `{}` options are the
+// pre-overload-protection behaviour: unlimited admission, no deadlines, no
 // governor.
 ConcurrentResult ReplayConcurrent(const std::vector<ConcurrentQuery>& queries,
+                                  const ConcurrentOptions& options,
                                   SimEnvironment* env);
 
 // ---------------------------------------------------------------------------
@@ -236,18 +240,18 @@ ConcurrentResult ReplayConcurrent(const std::vector<ConcurrentQuery>& queries,
 //
 // ReplayConcurrent above interleaves queries on ONE OS thread in virtual
 // time; it measures what the queries experience, not whether the storage
-// stack scales. This arm runs one real std::thread per entry, all hammering
-// the shared sharded pool / striped cache / scheduler concurrently — the
-// workload `bench_shard` uses to show lock striping removed the single-mutex
-// ceiling. Determinism story: thread interleaving is real and uncontrolled,
-// so per-thread latency totals vary run to run; what IS deterministic (and
-// asserted by tests) is the merge structure — threads are joined and their
-// results recorded in thread index order, pool stats reduce over shards in
-// shard order — plus the interleaving-independent invariants: every access
-// of every trace completes exactly once, and no pins are leaked. Sessions
-// run ungoverned (PrefetchGovernor is single-threaded control logic) and
-// tracing should be disabled around this call (per-thread trace context is
-// not supported).
+// stack scales. This arm runs one real std::thread per entry, each a
+// ReplayQuery, all hammering the shared sharded pool / striped cache /
+// scheduler concurrently — the workload `bench_shard` uses to show lock
+// striping removed the single-mutex ceiling. Determinism story: thread
+// interleaving is real and uncontrolled, so per-thread latency totals vary
+// run to run; what IS deterministic (and asserted by tests) is the merge
+// structure — threads are joined and their results recorded in thread
+// index order, pool stats reduce over shards in shard order — plus the
+// interleaving-independent invariants: every access of every trace
+// completes exactly once, and no pins are leaked. Sessions run ungoverned
+// (PrefetchGovernor is single-threaded control logic) and tracing should be
+// disabled around this call (per-thread trace context is not supported).
 
 // One fleet thread: a query trace plus an optional prefetch plan.
 struct ParallelReplayThread {

@@ -22,6 +22,18 @@ const char* RunModeName(RunMode mode) {
   return "Unknown";
 }
 
+void FillPlanMetrics(const WorkloadModel& model, const WorkloadQuery& query,
+                     const std::vector<PageId>& pages,
+                     QueryRunMetrics* metrics) {
+  if (metrics == nullptr) return;
+  const std::unordered_set<PageId> predicted(pages.begin(), pages.end());
+  const std::unordered_set<PageId> truth = model.RestrictToModeled(
+      ProcessTrace(query.trace, model.options().removal));
+  metrics->engaged = true;
+  metrics->accuracy = ComputeSetMetrics(predicted, truth);
+  metrics->predicted_pages = pages.size();
+}
+
 void PythiaSystem::AddWorkload(const Workload& workload,
                                WorkloadModel&& model) {
   auto nn = std::make_unique<NearestNeighborBaseline>(
@@ -52,7 +64,6 @@ uint64_t PythiaSystem::SwapModel(size_t index, WorkloadModel&& candidate,
   entry.model = std::move(candidate);
   entry.last_known_good = std::move(outgoing);
   entry.watchdog.RestartForNewModel(probation_sessions);
-  ++robustness_.model_swaps;
   MetricsRegistry::Global().counter("adaptation.swaps").Increment();
   PYTHIA_TRACE_INSTANT_CTX("adaptation", "model_swap", "entry", index,
                            "revision", entry.model.revision());
@@ -70,7 +81,6 @@ bool PythiaSystem::RollbackModel(size_t index) {
   // The watchdog judged the rejected model; restart clean (no probation —
   // the snapshot already earned trust before it was swapped out).
   entry.watchdog.RestartForNewModel(0);
-  ++robustness_.model_rollbacks;
   MetricsRegistry::Global().counter("adaptation.rollbacks").Increment();
   PYTHIA_TRACE_INSTANT_CTX("adaptation", "model_rollback", "entry", index,
                            "revision", entry.model.revision());
@@ -90,54 +100,12 @@ int64_t PythiaSystem::EntryIndex(const WorkloadModel* model) const {
   return -1;
 }
 
-void PythiaSystem::HarvestGovernorStats() {
-  if (governor_ == nullptr) return;
-  const GovernorStats& gs = governor_->stats();
-  robustness_.governor_pin_denials = gs.pin_denials + gs.aio_deferrals;
-  robustness_.governor_pages_shed = gs.pages_shed;
-  robustness_.governor_rung_degrades = gs.rung_degrades;
-  robustness_.governor_rung_recoveries = gs.rung_recoveries;
-}
-
-void PythiaSystem::HarvestChannelHealthStats() {
-  // Brownout injections live on the per-channel injector stats; summed over
-  // channels (each channel's injector instance appears exactly once:
-  // channel 0 keeps the shared injector, 1..N-1 their own).
-  uint64_t brownouts = 0;
-  OsPageCache& cache = env_->os_cache();
-  for (size_t c = 0; c < cache.num_channels(); ++c) {
-    if (const FaultInjector* inj = cache.channel_fault_injector(c)) {
-      brownouts += inj->stats().injected_brownout_reads;
-    }
-  }
-  robustness_.injected_brownout_reads = brownouts;
-  if (ChannelHealthTracker* health = env_->channel_health()) {
-    const ChannelHealthCounters c = health->counters();
-    robustness_.hedged_reads = c.hedges_issued;
-    robustness_.hedge_wins = c.hedges_won;
-    robustness_.hedge_wasted = c.hedges_wasted;
-    robustness_.hedge_denied_budget = c.hedges_denied_budget;
-  }
-  if (ChannelBreakerBoard* board = env_->channel_breakers()) {
-    const ChannelBreakerStats s = board->stats();
-    robustness_.channel_quarantines = s.quarantines + s.requarantines;
-    robustness_.channel_probes = s.probes;
-    robustness_.channel_reinstatements = s.reinstatements;
-  }
-}
-
-void PythiaSystem::HarvestWatchdogStats() {
-  robustness_.watchdog_demotions = 0;
-  robustness_.watchdog_probes = 0;
-  robustness_.watchdog_reinstatements = 0;
-  robustness_.watchdog_degraded_queries = 0;
-  for (const auto& entry : entries_) {
-    const WatchdogStats& ws = entry->watchdog.stats();
-    robustness_.watchdog_demotions += ws.demotions;
-    robustness_.watchdog_probes += ws.probes;
-    robustness_.watchdog_reinstatements += ws.reinstatements;
-    robustness_.watchdog_degraded_queries += ws.degraded_queries;
-  }
+PredictionKey PythiaSystem::PredictionKeyFor(const WorkloadModel& model,
+                                             const WorkloadQuery& query) const {
+  const int64_t index = EntryIndex(&model);
+  return PredictionKey{index >= 0 ? static_cast<uint64_t>(index) : 0,
+                       model.revision(),
+                       PredictionCache::PlanKey(query.tokens)};
 }
 
 WorkloadModel* PythiaSystem::MatchWorkload(const WorkloadQuery& query) {
@@ -175,10 +143,7 @@ std::vector<PageId> PythiaSystem::PrefetchPlan(const WorkloadQuery& query,
     case RunMode::kPythia: {
       WorkloadModel* model = MatchWorkload(query);
       if (model == nullptr) return {};
-      const int64_t index = EntryIndex(model);
-      const uint64_t model_id = index >= 0 ? static_cast<uint64_t>(index) : 0;
-      PredictionKey key{model_id, model->revision(),
-                        PredictionCache::PlanKey(query.tokens)};
+      const PredictionKey key = PredictionKeyFor(*model, query);
       std::vector<PageId> pages;
       if (!prediction_cache_.Lookup(key, &pages)) {
         // Miss: run the per-unit transformer forwards and memoize the
@@ -189,15 +154,7 @@ std::vector<PageId> PythiaSystem::PrefetchPlan(const WorkloadQuery& query,
         std::sort(pages.begin(), pages.end());
         prediction_cache_.Insert(key, pages);
       }
-      if (metrics != nullptr) {
-        const std::unordered_set<PageId> predicted(pages.begin(),
-                                                   pages.end());
-        const std::unordered_set<PageId> truth = model->RestrictToModeled(
-            ProcessTrace(query.trace, model->options().removal));
-        metrics->engaged = true;
-        metrics->accuracy = ComputeSetMetrics(predicted, truth);
-        metrics->predicted_pages = pages.size();
-      }
+      FillPlanMetrics(*model, query, pages, metrics);
       return pages;
     }
     case RunMode::kNearestNeighbor: {
@@ -233,20 +190,11 @@ std::vector<PageId> PythiaSystem::CachedPlanOnly(const WorkloadQuery& query,
   if (mode != RunMode::kPythia) return {};
   WorkloadModel* model = MatchWorkload(query);
   if (model == nullptr) return {};
-  const int64_t index = EntryIndex(model);
-  const uint64_t model_id = index >= 0 ? static_cast<uint64_t>(index) : 0;
-  PredictionKey key{model_id, model->revision(),
-                    PredictionCache::PlanKey(query.tokens)};
   std::vector<PageId> pages;
-  if (!prediction_cache_.Lookup(key, &pages)) return {};
-  if (metrics != nullptr) {
-    const std::unordered_set<PageId> predicted(pages.begin(), pages.end());
-    const std::unordered_set<PageId> truth = model->RestrictToModeled(
-        ProcessTrace(query.trace, model->options().removal));
-    metrics->engaged = true;
-    metrics->accuracy = ComputeSetMetrics(predicted, truth);
-    metrics->predicted_pages = pages.size();
+  if (!prediction_cache_.Lookup(PredictionKeyFor(*model, query), &pages)) {
+    return {};
   }
+  FillPlanMetrics(*model, query, pages, metrics);
   return pages;
 }
 
@@ -270,7 +218,6 @@ DegradationRung PythiaSystem::PlanRung(const WorkloadQuery& query,
   if (mode != RunMode::kDefault && !breaker_.AllowPrefetch()) {
     rung = MaxRung(rung, kBreakerDegradedRung);
     metrics->degraded_by_breaker = true;
-    ++robustness_.degraded_queries;
     PYTHIA_TRACE_INSTANT("system", "degraded.breaker", 0);
   }
   // The watchdog guards model quality, so it only gates the learned mode —
@@ -294,56 +241,41 @@ DegradationRung PythiaSystem::PlanRung(const WorkloadQuery& query,
 ConcurrentQuery PythiaSystem::PlanConcurrentQuery(
     const WorkloadQuery& query, RunMode mode, SimTime arrival_us,
     const PrefetcherOptions& options) {
+  return PlanQuery(query, mode, arrival_us, options,
+                   /*watchdog_entry=*/nullptr);
+}
+
+ConcurrentQuery PythiaSystem::PlanQuery(const WorkloadQuery& query,
+                                        RunMode mode, SimTime arrival_us,
+                                        const PrefetcherOptions& options,
+                                        int64_t* watchdog_entry) {
   ConcurrentQuery cq;
   cq.trace = &query.trace;
   cq.arrival_us = arrival_us;
   cq.prefetch_options = options;
-  if (cq.prefetch_options.governor == nullptr && governor_ != nullptr) {
+  if (cq.prefetch_options.governor == nullptr) {
     cq.prefetch_options.governor = governor_.get();
   }
   const DegradationRung rung =
-      PlanRung(query, mode, &cq.planned, /*watchdog_entry=*/nullptr);
+      PlanRung(query, mode, &cq.planned, watchdog_entry);
   if (rung == DegradationRung::kFullNeural) {
     cq.prefetch_pages = PrefetchPlan(query, mode, &cq.planned);
   } else if (rung == DegradationRung::kCachedOnly) {
     cq.prefetch_pages = CachedPlanOnly(query, mode, &cq.planned);
   }
+  // kReadahead and below: no learned prefetch — the query runs on the
+  // plain buffer manager (OS readahead still serves scans; at kNoPrefetch
+  // the governor suppresses even that).
   if (mode == RunMode::kOracle) {
+    // The oracle knows the exact access sequence; issue in that order.
     cq.prefetch_options.order = PrefetchOrder::kAccessOrder;
   }
   return cq;
 }
 
-void PythiaSystem::AbsorbConcurrentResult(const ConcurrentResult& result) {
-  for (const QueryRunMetrics& m : result.queries) {
-    robustness_.dropped_prefetches += m.prefetch_stats.dropped_faulty;
-    robustness_.corrupt_prefetch_drops += m.prefetch_stats.dropped_corrupt;
-    robustness_.shed_prefetches += m.prefetch_stats.rejected_by_pool;
-    robustness_.timed_out_prefetches += m.prefetch_stats.timed_out;
-    robustness_.brownout_dropped_prefetches +=
-        m.prefetch_stats.dropped_brownout;
-    if (m.degraded_by_governor) ++robustness_.governor_degraded_queries;
-  }
-  robustness_.deadline_stopped_queries += result.admission.deadline_stops;
-  robustness_.admission_rejected_queries += result.admission.rejected;
-  robustness_.corrupt_page_reads = env_->os_cache().corrupt_reads();
-  if (FaultInjector* injector = env_->fault_injector()) {
-    robustness_.injected_errors = injector->stats().injected_errors;
-    robustness_.injected_spikes = injector->stats().injected_spikes;
-    robustness_.injected_stalls = injector->stats().injected_stalls;
-    robustness_.injected_bit_flips = injector->stats().injected_bit_flips;
-    robustness_.injected_torn_writes = injector->stats().injected_torn_writes;
-    robustness_.injected_stale_reads = injector->stats().injected_stale_reads;
-  }
-  HarvestGovernorStats();
-  HarvestChannelHealthStats();
-}
-
 QueryRunMetrics PythiaSystem::RunQuery(
     const WorkloadQuery& query, RunMode mode,
     const PrefetcherOptions& prefetch_options, bool cold) {
-  QueryRunMetrics metrics;
-
   // Each query gets its own trace track; its virtual clock starts at 0.
   {
     Tracer& tracer = Tracer::Global();
@@ -354,30 +286,14 @@ QueryRunMetrics PythiaSystem::RunQuery(
   }
 
   int64_t watchdog_entry = -1;
-  const DegradationRung rung =
-      PlanRung(query, mode, &metrics, &watchdog_entry);
-
-  std::vector<PageId> pages;
-  if (rung == DegradationRung::kFullNeural) {
-    pages = PrefetchPlan(query, mode, &metrics);
-  } else if (rung == DegradationRung::kCachedOnly) {
-    pages = CachedPlanOnly(query, mode, &metrics);
-  }
-  // kReadahead and below: no learned prefetch — the query runs on the
-  // plain buffer manager (OS readahead still serves scans; at kNoPrefetch
-  // the governor suppresses even that).
-  if (metrics.engaged) {
+  std::vector<ConcurrentQuery> solo;
+  solo.push_back(PlanQuery(query, mode, /*arrival_us=*/0, prefetch_options,
+                           &watchdog_entry));
+  const std::vector<PageId>& pages = solo[0].prefetch_pages;
+  if (solo[0].planned.engaged) {
     PYTHIA_TRACE_INSTANT("system", "predict", 0, "pages", pages.size());
   }
 
-  PrefetcherOptions options = prefetch_options;
-  if (options.governor == nullptr && governor_ != nullptr) {
-    options.governor = governor_.get();
-  }
-  if (mode == RunMode::kOracle) {
-    // The oracle knows the exact access sequence; issue in that order.
-    options.order = PrefetchOrder::kAccessOrder;
-  }
   if (cold) {
     env_->ColdRestart();
     // Virtual clocks restart at 0 with the environment; async completions
@@ -385,37 +301,25 @@ QueryRunMetrics PythiaSystem::RunQuery(
     // prune and read as phantom AIO pressure forever.
     if (governor_ != nullptr) governor_->OnEnvironmentRestart();
   }
-  const ReplayResult replay =
-      ReplayQuery(query.trace, pages, options, env_);
-  metrics.status = replay.status;
-  metrics.elapsed_us = replay.elapsed_us;
-  metrics.pool_stats = replay.pool_stats;
-  metrics.prefetch_stats = replay.prefetch_stats;
-  if (governor_ != nullptr) {
-    // The rung that served the query is the worst the ladder reached while
-    // it ran, not just the one it was planned at.
-    metrics.rung = MaxRung(metrics.rung, governor_->rung());
-    if (metrics.rung != DegradationRung::kFullNeural ||
-        replay.prefetch_stats.shed_by_governor > 0 ||
-        replay.prefetch_stats.denied_by_governor > 0) {
-      metrics.degraded_by_governor = true;
-    }
-    if (metrics.degraded_by_governor) {
-      ++robustness_.governor_degraded_queries;
-    }
-  }
+  // The governor walks its ladder at every access, so a query planned on a
+  // degraded rung lets the ladder recover for the next one; the rung that
+  // served the query is the worst the ladder reached while it ran.
+  ConcurrentOptions replay_options;
+  replay_options.governor = governor_.get();
+  QueryRunMetrics metrics =
+      std::move(ReplayConcurrent(solo, replay_options, env_).queries[0]);
+  const PrefetchSessionStats& session = metrics.prefetch_stats;
 
   // Feed the breaker the health verdict of the session that actually ran.
   if (mode != RunMode::kDefault && !pages.empty()) {
-    breaker_.Record(IsHealthyPrefetch(replay.prefetch_stats, health_policy_));
+    breaker_.Record(IsHealthyPrefetch(session, health_policy_));
   }
   // Feed the matched model's watchdog the useful-prefetch ratio of its own
   // session (consumed / attempted); tiny sessions are skipped inside.
   if (watchdog_entry >= 0 && !metrics.degraded_by_watchdog &&
       metrics.engaged) {
     entries_[watchdog_entry]->watchdog.Record(
-        replay.prefetch_stats.issued + replay.prefetch_stats.already_buffered,
-        replay.prefetch_stats.consumed);
+        session.issued + session.already_buffered, session.consumed);
   }
   // Feed the adaptation manager every learned-mode query that matched a
   // model (including watchdog-degraded ones — their traces are exactly what
@@ -426,30 +330,6 @@ QueryRunMetrics PythiaSystem::RunQuery(
     adaptation_->ObserveQuery(static_cast<size_t>(watchdog_entry), query,
                               metrics);
   }
-
-  robustness_.read_retries += replay.pool_stats.read_retries;
-  robustness_.corrupt_read_retries += replay.pool_stats.corrupt_retries;
-  robustness_.failed_fetches += replay.pool_stats.failed_fetches;
-  robustness_.dropped_prefetches += replay.prefetch_stats.dropped_faulty;
-  robustness_.corrupt_prefetch_drops += replay.prefetch_stats.dropped_corrupt;
-  robustness_.shed_prefetches += replay.prefetch_stats.rejected_by_pool;
-  robustness_.timed_out_prefetches += replay.prefetch_stats.timed_out;
-  robustness_.brownout_dropped_prefetches +=
-      replay.prefetch_stats.dropped_brownout;
-  robustness_.breaker_trips = breaker_.stats().trips;
-  robustness_.breaker_probes = breaker_.stats().probes;
-  robustness_.corrupt_page_reads = env_->os_cache().corrupt_reads();
-  if (FaultInjector* injector = env_->fault_injector()) {
-    robustness_.injected_errors = injector->stats().injected_errors;
-    robustness_.injected_spikes = injector->stats().injected_spikes;
-    robustness_.injected_stalls = injector->stats().injected_stalls;
-    robustness_.injected_bit_flips = injector->stats().injected_bit_flips;
-    robustness_.injected_torn_writes = injector->stats().injected_torn_writes;
-    robustness_.injected_stale_reads = injector->stats().injected_stale_reads;
-  }
-  HarvestWatchdogStats();
-  HarvestGovernorStats();
-  HarvestChannelHealthStats();
 
   // Mirror the per-query outcome into the process-wide registry, so one
   // snapshot answers "what has this process done so far" across benches and
@@ -463,15 +343,13 @@ QueryRunMetrics PythiaSystem::RunQuery(
   reg.counter(std::string("overload.served.") +
               DegradationRungName(metrics.rung))
       .Increment();
-  reg.counter("prefetch.issued").Increment(replay.prefetch_stats.issued);
-  reg.counter("prefetch.consumed").Increment(replay.prefetch_stats.consumed);
-  reg.counter("prefetch.dropped_faulty")
-      .Increment(replay.prefetch_stats.dropped_faulty);
-  reg.counter("prefetch.dropped_corrupt")
-      .Increment(replay.prefetch_stats.dropped_corrupt);
-  reg.counter("prefetch.shed").Increment(replay.prefetch_stats.rejected_by_pool);
-  reg.counter("prefetch.timed_out").Increment(replay.prefetch_stats.timed_out);
-  reg.histogram("query.elapsed_us").Record(replay.elapsed_us);
+  reg.counter("prefetch.issued").Increment(session.issued);
+  reg.counter("prefetch.consumed").Increment(session.consumed);
+  reg.counter("prefetch.dropped_faulty").Increment(session.dropped_faulty);
+  reg.counter("prefetch.dropped_corrupt").Increment(session.dropped_corrupt);
+  reg.counter("prefetch.shed").Increment(session.rejected_by_pool);
+  reg.counter("prefetch.timed_out").Increment(session.timed_out);
+  reg.histogram("query.elapsed_us").Record(metrics.elapsed_us);
   reg.gauge("bufmgr.pinned_frames")
       .Set(static_cast<int64_t>(env_->pool().pinned_frames()));
   return metrics;

@@ -20,7 +20,6 @@
 #include "core/query_metrics.h"
 #include "core/replay.h"
 #include "core/watchdog.h"
-#include "util/metrics.h"
 
 namespace pythia {
 
@@ -39,6 +38,13 @@ const char* RunModeName(RunMode mode);
 // QueryRunMetrics lives in core/query_metrics.h (shared with the concurrent
 // replay path, which reports one per batch query).
 
+// Marks *metrics engaged on `pages`, the page list `model` predicted for
+// `query`, scored against the query's ground truth over the modeled
+// objects. No-op when metrics is nullptr.
+void FillPlanMetrics(const WorkloadModel& model, const WorkloadQuery& query,
+                     const std::vector<PageId>& pages,
+                     QueryRunMetrics* metrics);
+
 class PythiaSystem {
  public:
   // `env` must outlive the system. Ctor/dtor are out-of-line because
@@ -50,8 +56,10 @@ class PythiaSystem {
   // from the same workload).
   void AddWorkload(const Workload& workload, WorkloadModel&& model);
 
-  // Runs one query under `mode`. `cold` restarts the buffer pool and drops
-  // OS caches first (the paper's single-query protocol).
+  // Runs one query under `mode`: plans it like PlanConcurrentQuery and
+  // replays it as a batch of one under the governor, which re-evaluates its
+  // ladder at every access. `cold` restarts the buffer pool and drops OS
+  // caches first (the paper's single-query protocol).
   QueryRunMetrics RunQuery(const WorkloadQuery& query, RunMode mode,
                            const PrefetcherOptions& prefetch_options,
                            bool cold = true);
@@ -73,18 +81,11 @@ class PythiaSystem {
 
   // Builds a ConcurrentQuery spec for `query` under `mode`, applying the
   // same guardrail ladder RunQuery applies (breaker, watchdog, governor
-  // rung) at planning time. Breaker/watchdog Record() feedback does not
-  // apply in batch mode — sessions interleave, so per-session health is
-  // attributed when the batch result is folded back via
-  // AbsorbConcurrentResult.
+  // rung) at planning time. Fleet sessions feed neither the breaker nor the
+  // watchdog: only RunQuery records a session's health verdict.
   ConcurrentQuery PlanConcurrentQuery(const WorkloadQuery& query,
                                       RunMode mode, SimTime arrival_us,
                                       const PrefetcherOptions& options);
-
-  // Folds a finished batch into the robustness counters and the metrics
-  // registry (governor sheds, deadline stops, admission rejections,
-  // per-query degradation flags).
-  void AbsorbConcurrentResult(const ConcurrentResult& result);
 
   // Algorithm 3 line 3: the workload this query belongs to, or nullptr.
   WorkloadModel* MatchWorkload(const WorkloadQuery& query);
@@ -101,11 +102,10 @@ class PythiaSystem {
     return PlanRung(query, mode, metrics, /*watchdog_entry=*/nullptr);
   }
 
-  // Registration index of `model` — the model_id used in prediction-cache
-  // keys — or -1 when the model is not registered here.
-  int64_t WorkloadIndex(const WorkloadModel* model) const {
-    return EntryIndex(model);
-  }
+  // The prediction-cache key of `query`'s plan under `model`: the model's
+  // registration index, its revision and the plan fingerprint.
+  PredictionKey PredictionKeyFor(const WorkloadModel& model,
+                                 const WorkloadQuery& query) const;
 
   SimEnvironment* env() { return env_; }
   double match_threshold() const { return match_threshold_; }
@@ -140,10 +140,6 @@ class PythiaSystem {
   PrefetchGovernor& EnableGovernor(const GovernorOptions& options);
   // nullptr until EnableGovernor is called (ungoverned — prior behaviour).
   PrefetchGovernor* governor() { return governor_.get(); }
-
-  // Fault-tolerance counters accumulated across every RunQuery call (the
-  // storage-level injection counts come from the environment's injector).
-  const RobustnessCounters& robustness() const { return robustness_; }
 
   // --- Online adaptation (core/adaptation.h) -----------------------------
 
@@ -201,20 +197,17 @@ class PythiaSystem {
 
   // Index of the entry owning `model`, or -1.
   int64_t EntryIndex(const WorkloadModel* model) const;
-  // Folds per-model watchdog stats into robustness_.
-  void HarvestWatchdogStats();
-  // Folds the governor's cumulative stats into robustness_.
-  void HarvestGovernorStats();
-  // Folds the gray-failure layer (per-channel brownout injections, hedge
-  // accounting, breaker transitions) into robustness_. No-op fields when the
-  // environment runs without channel health tracking.
-  void HarvestChannelHealthStats();
   // The ladder rung a query under `mode` should be planned at right now
   // (governor rung + breaker + watchdog folded via max), with the
-  // degradation flags recorded into `metrics`. Also counts breaker/
-  // watchdog/governor degradations in robustness_.
+  // degradation flags recorded into `metrics`.
   DegradationRung PlanRung(const WorkloadQuery& query, RunMode mode,
                            QueryRunMetrics* metrics, int64_t* watchdog_entry);
+  // PlanConcurrentQuery, also reporting the entry whose watchdog judged the
+  // plan (-1 when no watchdog was consulted).
+  ConcurrentQuery PlanQuery(const WorkloadQuery& query, RunMode mode,
+                            SimTime arrival_us,
+                            const PrefetcherOptions& options,
+                            int64_t* watchdog_entry);
 
   SimEnvironment* env_;
   std::vector<std::unique_ptr<Entry>> entries_;
@@ -222,7 +215,6 @@ class PythiaSystem {
   CircuitBreaker breaker_;
   PrefetchHealthPolicy health_policy_;
   WatchdogOptions watchdog_options_;
-  RobustnessCounters robustness_;
   PredictionCache prediction_cache_;
   std::unique_ptr<PrefetchGovernor> governor_;
   std::unique_ptr<AdaptationManager> adaptation_;

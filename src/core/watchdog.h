@@ -19,7 +19,7 @@
 //    useless probe demotes it again for a fresh probation period.
 //
 // One watchdog instance guards one model; PythiaSystem owns one per
-// registered workload and exposes all state through RobustnessCounters.
+// registered workload and exposes it as watchdog(index).
 #ifndef PYTHIA_CORE_WATCHDOG_H_
 #define PYTHIA_CORE_WATCHDOG_H_
 
@@ -102,7 +102,7 @@ class PredictionWatchdog {
 
   // Called when the guarded model is hot-swapped: the window and health
   // describe the *outgoing* model, so they restart clean for the incoming
-  // one (cumulative stats are kept — they feed RobustnessCounters). When
+  // one (cumulative stats are kept across the swap). When
   // `probation_sessions > 0`, the next that many judged sessions form a
   // post-swap probation window: a demotion inside it latches
   // post_swap_demoted(), the signal the adaptation manager rolls back on.

@@ -22,77 +22,6 @@ inline double SafeDiv(double numerator, double denominator) {
   return denominator == 0.0 ? 0.0 : numerator / denominator;
 }
 
-// Counters for the fault-tolerance layer, aggregated across the storage,
-// buffer-manager, prefetcher and system layers by whoever reports them.
-// Thread-safety contract: this is a per-PythiaSystem aggregate written only
-// on the query thread (RunQuery), never from ThreadPool lanes — counters
-// that ARE reachable from lanes (model save/load/retrain) live behind the
-// atomic MetricsRegistry ("model.*"), and RunQuery mirrors the hot
-// prefetch/query facts into the registry too ("prefetch.*", "query.*").
-struct RobustnessCounters {
-  uint64_t injected_errors = 0;     // transient I/O errors injected
-  uint64_t injected_spikes = 0;     // tail-latency spikes injected
-  uint64_t injected_stalls = 0;     // stalled AIO channels
-  uint64_t read_retries = 0;        // foreground retry attempts
-  uint64_t failed_fetches = 0;      // foreground reads that exhausted retries
-  uint64_t dropped_prefetches = 0;  // speculative reads dropped on fault
-  uint64_t shed_prefetches = 0;     // shed on buffer pressure
-  uint64_t timed_out_prefetches = 0;
-  uint64_t breaker_trips = 0;
-  uint64_t breaker_probes = 0;
-  uint64_t degraded_queries = 0;    // queries forced to the plain bufmgr
-
-  // Integrity layer: silent corruption injected by the device and caught by
-  // checksum/header verification on the read paths. Corrupt pages are never
-  // served — foreground reads retry, speculative reads drop the page.
-  uint64_t injected_bit_flips = 0;
-  uint64_t injected_torn_writes = 0;
-  uint64_t injected_stale_reads = 0;
-  uint64_t corrupt_page_reads = 0;        // demand reads failing verification
-  uint64_t corrupt_read_retries = 0;      // foreground retries caused by those
-  uint64_t corrupt_prefetch_drops = 0;    // speculative reads dropped corrupt
-
-  // Prediction-health watchdog: per-model drift guardrail, summed over all
-  // registered models (core/watchdog.h).
-  uint64_t watchdog_demotions = 0;
-  uint64_t watchdog_probes = 0;
-  uint64_t watchdog_reinstatements = 0;
-  uint64_t watchdog_degraded_queries = 0;  // ran on the readahead baseline
-
-  // Online adaptation (core/adaptation.h): hot swaps of shadow-validated
-  // candidate models, and automatic rollbacks to the last-known-good
-  // snapshot after a post-swap watchdog re-demotion.
-  uint64_t model_swaps = 0;
-  uint64_t model_rollbacks = 0;
-
-  // Overload governor (core/governor.h): global speculative-I/O budgets and
-  // the graceful-degradation ladder, snapshotted from the governor's own
-  // stats after each query; the admission/deadline counters come from the
-  // concurrent replay loop.
-  uint64_t governor_pin_denials = 0;       // pin requests refused outright
-  uint64_t governor_pages_shed = 0;        // victim pages unpinned for budget
-  uint64_t governor_rung_degrades = 0;     // ladder moves toward no-prefetch
-  uint64_t governor_rung_recoveries = 0;   // ladder moves back toward full
-  uint64_t governor_degraded_queries = 0;  // served below full-neural
-  uint64_t deadline_stopped_queries = 0;   // prefetch shed by deadline budget
-  uint64_t admission_rejected_queries = 0; // bounced off the full wait queue
-
-  // Gray-failure layer (storage/channel_health.h + core/channel_breaker.h):
-  // sustained slow-without-error channels, the hedged reads that route
-  // around them, and the brownout breakers that shed speculative traffic
-  // off them.
-  uint64_t injected_brownout_reads = 0;    // reads slowed by a brownout window
-  uint64_t hedged_reads = 0;               // foreground reads that hedged
-  uint64_t hedge_wins = 0;                 // hedge beat the slow primary
-  uint64_t hedge_wasted = 0;               // primary finished first anyway
-  uint64_t hedge_denied_budget = 0;        // hedges refused by the 5% budget
-  uint64_t channel_quarantines = 0;        // breaker closed->open transitions
-  uint64_t channel_probes = 0;             // half-open speculative probes
-  uint64_t channel_reinstatements = 0;     // breakers closed again
-  uint64_t brownout_dropped_prefetches = 0;// speculative reads shed off
-                                           // quarantined channels
-};
-
 // Model-file integrity counters moved behind the atomic MetricsRegistry
 // ("model.*" counters; snapshot via ModelIntegritySnapshot() in
 // util/metrics_registry.h). The old GlobalModelIntegrity() singleton of

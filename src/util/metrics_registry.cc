@@ -103,8 +103,15 @@ void MetricsRegistry::ResetAll() {
 }
 
 MetricsRegistry& MetricsRegistry::Global() {
-  static MetricsRegistry registry;
-  return registry;
+  // Never destroyed: ThreadPool::Global()'s lanes are never joined and keep
+  // handles into the registry, so tearing it down at exit would race them.
+  // The union keeps the registry in static storage and skips its destructor.
+  static union Holder {
+    Holder() : registry() {}
+    ~Holder() {}
+    MetricsRegistry registry;
+  } holder;
+  return holder.registry;
 }
 
 ModelIntegrityCounters ModelIntegritySnapshot() {

@@ -296,7 +296,7 @@ TEST(FaultyReplayTest, ConcurrentBatchSurvivesFaults) {
   b.prefetch_pages = OraclePages(t2);
   a.prefetch_options.start_delay_us = 0;
   b.prefetch_options.start_delay_us = 0;
-  const ConcurrentResult r = ReplayConcurrent({a, b}, &env);
+  const ConcurrentResult r = ReplayConcurrent({a, b}, {}, &env);
   ASSERT_EQ(r.queries.size(), 2u);
   EXPECT_TRUE(r.queries[0].status.ok());
   EXPECT_TRUE(r.queries[1].status.ok());

@@ -360,7 +360,7 @@ TEST(AdmissionTest, UnlimitedWhenCapIsZero) {
   std::vector<ConcurrentQuery> batch(5);
   for (ConcurrentQuery& q : batch) q.trace = &trace;
 
-  const ConcurrentResult r = ReplayConcurrent(batch, &env);
+  const ConcurrentResult r = ReplayConcurrent(batch, {}, &env);
   EXPECT_EQ(r.admission.admitted_immediately, 5u);
   EXPECT_EQ(r.admission.rejected, 0u);
   for (const QueryRunMetrics& m : r.queries) EXPECT_TRUE(m.status.ok());

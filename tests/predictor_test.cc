@@ -213,6 +213,27 @@ TEST_F(PredictorTest, GetOrTrainUsesCache) {
   EXPECT_EQ(first->Predict(q.tokens), second->Predict(q.tokens));
 }
 
+TEST_F(PredictorTest, CachedModelKeepsTrainedRevision) {
+  // A model served from the cache is the model trained into it, revision
+  // included: re-adopting the same threshold on load is not a change.
+  const std::string path = ::testing::TempDir() + "/cache_rev.pywm";
+  std::remove(path.c_str());
+  std::remove((path + ".lkg").c_str());
+  PredictorOptions options = FastOptions();
+  Result<WorkloadModel> trained =
+      GetOrTrainWorkloadModel(path, *db_, *workload_, options);
+  ASSERT_TRUE(trained.ok());
+  Result<WorkloadModel> loaded =
+      GetOrTrainWorkloadModel(path, *db_, *workload_, options);
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_EQ(loaded->revision(), trained->revision());
+
+  // A real threshold change still moves the revision.
+  const uint64_t before = loaded->revision();
+  loaded->set_threshold(options.threshold + 0.1f);
+  EXPECT_GT(loaded->revision(), before);
+}
+
 TEST_F(PredictorTest, GetOrTrainRetrainsOnConfigChange) {
   const std::string path = ::testing::TempDir() + "/cache2.pywm";
   std::remove(path.c_str());

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/baselines.h"
 #include "core/replay.h"
 
@@ -107,17 +109,103 @@ TEST(ReplayTest, WrongPrefetchDoesNotSlowQueryMuch) {
   EXPECT_LT(r.elapsed_us, dflt.elapsed_us * 1.10);
 }
 
-TEST(ReplayTest, ConcurrentSingleQueryMatchesSolo) {
-  const QueryTrace trace = MakeMixedTrace(30, 60);
-  SimEnvironment env(SmallSim());
-  const ReplayResult solo = ReplayQuery(trace, {}, PrefetcherOptions{}, &env);
+// Stats structs are plain runs of 64-bit counters, so byte equality is
+// field-for-field equality.
+template <typename Stats>
+bool SameCounters(const Stats& a, const Stats& b) {
+  static_assert(sizeof(Stats) % sizeof(uint64_t) == 0);
+  return std::memcmp(&a, &b, sizeof(Stats)) == 0;
+}
 
-  env.ColdRestart();
-  ConcurrentQuery q;
-  q.trace = &trace;
-  const ConcurrentResult conc = ReplayConcurrent({q}, &env);
-  EXPECT_EQ(conc.end_us[0] - conc.start_us[0], solo.elapsed_us);
-  EXPECT_EQ(conc.makespan_us, solo.elapsed_us);
+TEST(ReplayTest, ConcurrentSingleQueryMatchesSolo) {
+  // The three solo entry points (ReplayQuery, a one-query ReplayConcurrent
+  // and a one-thread ReplayParallelFleet) must agree bit for bit on a
+  // faulty, striped, hedged environment with an oracle prefetch plan.
+  //
+  // 1,400 scattered reads over 28 objects, so every storage channel
+  // carries traffic and the small pool and cache miss on most accesses.
+  QueryTrace trace;
+  for (uint32_t i = 0; i < 1400; ++i) {
+    trace.accesses.push_back(PageAccess{PageId{1 + i % 28, 3 * (i / 28)},
+                                        false, 1});
+  }
+  SimOptions sim = SmallSim();
+  sim.buffer_pages = 128;
+  sim.os_cache_pages = 128;
+  sim.os_readahead_pages = 0;
+  sim.buffer_shards = 2;
+  sim.storage_channels = 4;
+  sim.faults.transient_error_prob = 0.01;
+  sim.faults.tail_latency_prob = 0.01;
+  sim.faults.aio_stall_prob = 0.01;
+  sim.faults.bit_flip_prob = 0.005;
+  sim.faults.brownout_latency_mult = 8.0;
+  sim.faults.brownout_start_read = 24;
+  sim.faults.brownout_duration_reads = 600;
+  sim.faults.seed = 4242;
+  sim.brownout_channel = 1;
+  sim.channel_health.enabled = true;
+  sim.channel_health.window_samples = 16;
+  sim.channel_health.hedging_enabled = true;
+  sim.channel_breakers = true;
+  PrefetcherOptions prefetch;
+  prefetch.start_delay_us = 0;
+  const std::vector<PageId> plan = OraclePages(trace);
+
+  struct Outcome {
+    Status status;
+    SimTime elapsed_us = 0;
+    uint64_t completed_accesses = 0;
+    PrefetchSessionStats prefetch_stats;
+    BufferPoolStats pool_stats;  // the fresh environment's totals
+  };
+  Outcome solo, batch, fleet;
+  {
+    SimEnvironment env(sim);
+    const ReplayResult r = ReplayQuery(trace, plan, prefetch, &env);
+    solo = {r.status, r.elapsed_us, r.completed_accesses, r.prefetch_stats,
+            env.pool().stats()};
+    EXPECT_TRUE(SameCounters(r.pool_stats, solo.pool_stats));
+  }
+  {
+    SimEnvironment env(sim);
+    ConcurrentQuery q;
+    q.trace = &trace;
+    q.prefetch_pages = plan;
+    q.prefetch_options = prefetch;
+    const ConcurrentResult r = ReplayConcurrent({q}, {}, &env);
+    EXPECT_EQ(r.makespan_us, r.queries[0].elapsed_us);
+    batch = {r.queries[0].status, r.queries[0].elapsed_us,
+             r.queries[0].completed_accesses, r.queries[0].prefetch_stats,
+             env.pool().stats()};
+  }
+  {
+    SimEnvironment env(sim);
+    ParallelReplayThread thread;
+    thread.trace = &trace;
+    thread.prefetch_pages = plan;
+    ParallelReplayOptions options;
+    options.prefetch = prefetch;
+    const ParallelReplayResult r =
+        ReplayParallelFleet({thread}, options, &env);
+    const ParallelThreadResult& t = r.threads[0];
+    fleet = {t.status, t.elapsed_us, t.completed_accesses, t.prefetch_stats,
+             env.pool().stats()};
+  }
+
+  ASSERT_TRUE(solo.status.ok()) << solo.status.ToString();
+  EXPECT_EQ(solo.completed_accesses, trace.accesses.size());
+  // The environment really exercised the fault and gray-failure paths.
+  EXPECT_GT(solo.pool_stats.read_retries, 0u);
+  EXPECT_GT(solo.pool_stats.hedged_reads, 0u);
+  EXPECT_GT(solo.prefetch_stats.issued, 0u);
+  for (const Outcome* other : {&batch, &fleet}) {
+    EXPECT_EQ(other->status.code(), solo.status.code());
+    EXPECT_EQ(other->elapsed_us, solo.elapsed_us);
+    EXPECT_EQ(other->completed_accesses, solo.completed_accesses);
+    EXPECT_TRUE(SameCounters(other->prefetch_stats, solo.prefetch_stats));
+    EXPECT_TRUE(SameCounters(other->pool_stats, solo.pool_stats));
+  }
 }
 
 TEST(ReplayTest, ConcurrentQueriesShareBufferPool) {
@@ -131,7 +219,7 @@ TEST(ReplayTest, ConcurrentQueriesShareBufferPool) {
   ConcurrentQuery a, b;
   a.trace = &trace;
   b.trace = &trace;
-  const ConcurrentResult conc = ReplayConcurrent({a, b}, &env);
+  const ConcurrentResult conc = ReplayConcurrent({a, b}, {}, &env);
   EXPECT_LT(conc.total_query_us, 2 * solo.elapsed_us);
 }
 
@@ -142,7 +230,7 @@ TEST(ReplayTest, ArrivalTimesRespected) {
   a.trace = &trace;
   b.trace = &trace;
   b.arrival_us = 1000000;
-  const ConcurrentResult conc = ReplayConcurrent({a, b}, &env);
+  const ConcurrentResult conc = ReplayConcurrent({a, b}, {}, &env);
   EXPECT_EQ(conc.start_us[1], 1000000u);
   EXPECT_GT(conc.end_us[1], 1000000u);
   EXPECT_LT(conc.end_us[0], conc.end_us[1]);
@@ -156,14 +244,14 @@ TEST(ReplayTest, ConcurrentWithPrefetchBeatsWithout) {
   ConcurrentQuery a, b;
   a.trace = &t1;
   b.trace = &t2;
-  const ConcurrentResult plain = ReplayConcurrent({a, b}, &env);
+  const ConcurrentResult plain = ReplayConcurrent({a, b}, {}, &env);
 
   env.ColdRestart();
   a.prefetch_pages = OraclePages(t1);
   b.prefetch_pages = OraclePages(t2);
   a.prefetch_options.start_delay_us = 0;
   b.prefetch_options.start_delay_us = 0;
-  const ConcurrentResult fetched = ReplayConcurrent({a, b}, &env);
+  const ConcurrentResult fetched = ReplayConcurrent({a, b}, {}, &env);
   EXPECT_LT(fetched.total_query_us, plain.total_query_us);
 }
 
@@ -175,7 +263,7 @@ TEST(ReplayTest, EmptyTraceCompletesImmediately) {
   ConcurrentQuery q;
   q.trace = &empty;
   q.arrival_us = 42;
-  const ConcurrentResult conc = ReplayConcurrent({q}, &env);
+  const ConcurrentResult conc = ReplayConcurrent({q}, {}, &env);
   EXPECT_EQ(conc.end_us[0], 42u);
 }
 

@@ -182,7 +182,7 @@ TEST_F(SystemTest, BreakerDegradesToDefaultAndRecovers) {
     EXPECT_FALSE(m.engaged);
     EXPECT_EQ(m.prefetch_stats.issued, 0u);
   }
-  EXPECT_EQ(system_->robustness().degraded_queries, 2u);
+  EXPECT_EQ(system_->breaker().stats().rejected, 2u);
   EXPECT_EQ(system_->breaker().state(), BreakerState::kHalfOpen);
 
   // Half-open: probes run with healthy options and close the breaker.
@@ -229,6 +229,8 @@ TEST_F(SystemTest, CachedPlanOnlyServesHitsWithoutInference) {
 }
 
 TEST_F(SystemTest, GovernorRungDegradesAndRecoversRunQuery) {
+  // The registry is process-wide: count this test's degraded queries only.
+  MetricsRegistry::Global().ResetAll();
   // Budget well above what one query's session pins, so only the ballast
   // below (not the query's own speculation) can move the ladder.
   GovernorOptions gopts;
@@ -252,8 +254,8 @@ TEST_F(SystemTest, GovernorRungDegradesAndRecoversRunQuery) {
   EXPECT_TRUE(degraded.degraded_by_governor);
   EXPECT_FALSE(degraded.engaged);
   EXPECT_EQ(degraded.prefetch_stats.issued, 0u);
-  EXPECT_EQ(system_->robustness().governor_degraded_queries, 1u);
-  EXPECT_GT(system_->robustness().governor_rung_degrades, 0u);
+  EXPECT_EQ(MetricsRegistry::Global().counter("query.degraded").value(), 1u);
+  EXPECT_GT(governor.stats().rung_degrades, 0u);
 
   // Pressure gone: the ladder climbs back (one rung per evaluation) and
   // full neural service resumes.
@@ -269,7 +271,45 @@ TEST_F(SystemTest, GovernorRungDegradesAndRecoversRunQuery) {
   EXPECT_TRUE(healthy.engaged);
 }
 
-TEST_F(SystemTest, ConcurrentPlanAndAbsorbRoundTrip) {
+TEST_F(SystemTest, GovernedRunQueryStreamRecoversTheLadder) {
+  // A closed-loop RunQuery stream lifts its own ladder: the replay walks
+  // the governor at every access, so once the pressure is gone the query
+  // after a degraded one plans at full neural service. No manual Evaluate.
+  GovernorOptions gopts;
+  gopts.max_pinned_pages = 400;
+  gopts.max_outstanding_aio = 10000;
+  PrefetchGovernor& governor = system_->EnableGovernor(gopts);
+  const WorkloadQuery& q = w91_->queries[w91_->test_indices[0]];
+
+  const uint64_t ballast = governor.RegisterSession(nullptr, 0);
+  for (int i = 0; i < 400; ++i) {
+    ASSERT_TRUE(governor.TryAcquirePin(ballast, 0));
+  }
+  ASSERT_EQ(governor.Evaluate(0), DegradationRung::kNoPrefetch);
+  for (int i = 0; i < 400; ++i) governor.ReleasePin(ballast);
+  governor.UnregisterSession(ballast);
+
+  // Planned while the ladder still reads no-prefetch: no session runs.
+  const QueryRunMetrics first =
+      system_->RunQuery(q, RunMode::kOracle, PrefetcherOptions{});
+  ASSERT_TRUE(first.status.ok());
+  EXPECT_EQ(first.rung, DegradationRung::kNoPrefetch);
+  EXPECT_FALSE(first.engaged);
+  EXPECT_EQ(first.prefetch_stats.issued, 0u);
+  EXPECT_EQ(governor.rung(), DegradationRung::kFullNeural);
+
+  const QueryRunMetrics second =
+      system_->RunQuery(q, RunMode::kOracle, PrefetcherOptions{});
+  ASSERT_TRUE(second.status.ok());
+  EXPECT_EQ(second.rung, DegradationRung::kFullNeural);
+  EXPECT_TRUE(second.engaged);
+  EXPECT_GT(second.prefetch_stats.issued, 0u);
+  EXPECT_GT(governor.stats().rung_recoveries, 0u);
+}
+
+TEST_F(SystemTest, ConcurrentPlanRoundTrip) {
+  // The registry is process-wide: count this test's batch only.
+  MetricsRegistry::Global().ResetAll();
   GovernorOptions gopts;
   PrefetchGovernor& governor = system_->EnableGovernor(gopts);
   env_->ColdRestart();
@@ -318,9 +358,10 @@ TEST_F(SystemTest, ConcurrentPlanAndAbsorbRoundTrip) {
   EXPECT_EQ(env_->pool().pinned_frames(), 0u);
   EXPECT_EQ(governor.pinned_pages(), 0u);
 
-  system_->AbsorbConcurrentResult(r);
-  EXPECT_EQ(system_->robustness().deadline_stopped_queries, 3u);
-  EXPECT_EQ(system_->robustness().admission_rejected_queries, 1u);
+  // The replay mirrors its admission outcome into the registry.
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  EXPECT_EQ(reg.counter("overload.deadline_stops").value(), 3u);
+  EXPECT_EQ(reg.counter("overload.admission_rejected").value(), 1u);
 }
 
 TEST_F(SystemTest, ServedRungCounterMirrorsRuns) {
