@@ -14,6 +14,7 @@
 #                       GlobalModelIntegrity counter races)
 set -euo pipefail
 cd "$(dirname "$0")/.."
+ROOT="$(pwd)"
 
 case "${PYTHIA_SANITIZE:-address}" in
   thread|tsan)
@@ -37,6 +38,15 @@ cmake -B "${BUILD_DIR}" -S . \
 cmake --build "${BUILD_DIR}" -j "$(nproc)"
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)" "$@"
 
+# The soak benches below write their BENCH_*.json into the working
+# directory. Run them from a scratch directory so a smoke run never
+# overwrites the committed full-scale results; the model cache stays the
+# repository's, so it stays warm across runs.
+SOAK_DIR="$(mktemp -d)"
+trap 'rm -rf "${SOAK_DIR}"' EXIT
+export PYTHIA_CACHE_DIR="${PYTHIA_CACHE_DIR:-${ROOT}/pythia_cache}"
+BIN="${ROOT}/${BUILD_DIR}"
+
 # The ASan arm additionally sweeps the crash/recovery path: every named
 # crash site kills a checkpoint mid-write and recovery parses the torn
 # residue — the densest concentration of manual serialization, bounds-checked
@@ -44,7 +54,7 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)" "$@"
 # keep.
 if [[ "${MODE}" == address ]]; then
   cmake --build "${BUILD_DIR}" -j "$(nproc)" --target bench_crash_recovery
-  "${BUILD_DIR}/bench/bench_crash_recovery" --smoke
+  (cd "${SOAK_DIR}" && "${BIN}/bench/bench_crash_recovery" --smoke)
 fi
 
 # The TSan arm additionally soaks the background training lane: the
@@ -53,7 +63,7 @@ fi
 # producer/consumer handoff the unit tests only exercise briefly.
 if [[ "${MODE}" == thread ]]; then
   cmake --build "${BUILD_DIR}" -j "$(nproc)" --target bench_adaptation
-  "${BUILD_DIR}/bench/bench_adaptation" --smoke
+  (cd "${SOAK_DIR}" && "${BIN}/bench/bench_adaptation" --smoke)
 
   # Batch-queue soak: BatchPredictor flush windows fan the decoder GEMMs out
   # on the ThreadPool (WorkloadModel::PredictBatch -> per-unit lanes writing
@@ -70,7 +80,7 @@ if [[ "${MODE}" == thread ]]; then
   "${BUILD_DIR}/tests/bufmgr_test" \
       --gtest_filter='ShardedPoolTest.*' --gtest_repeat=5
   cmake --build "${BUILD_DIR}" -j "$(nproc)" --target bench_shard
-  "${BUILD_DIR}/bench/bench_shard" --smoke
+  (cd "${SOAK_DIR}" && "${BIN}/bench/bench_shard" --smoke)
 
   # Hedged-read soak: the gray-failure layer under genuine concurrency — the
   # ChannelHealthTracker's lock-free summary atomics, the global hedge-budget
@@ -81,5 +91,5 @@ if [[ "${MODE}" == thread ]]; then
       --gtest_filter='GrayFailureEndToEndTest.HedgeSoakParallelFleet' \
       --gtest_repeat=5
   cmake --build "${BUILD_DIR}" -j "$(nproc)" --target bench_brownout
-  "${BUILD_DIR}/bench/bench_brownout" --smoke
+  (cd "${SOAK_DIR}" && "${BIN}/bench/bench_brownout" --smoke)
 fi

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <string>
 
-#include "util/metrics_registry.h"
 #include "util/trace.h"
 
 namespace pythia {
@@ -147,8 +146,6 @@ Result<FetchResult> BufferPool::FetchPage(PageId page, SimTime now) {
       result.prefetch_wait_us = f.arrival - now;
       shard.stats.prefetch_wait_us += result.prefetch_wait_us;
       ++shard.stats.prefetch_wait_hits;
-      MetricsRegistry::Global().counter("bufmgr.prefetch_wait_hits")
-          .Increment();
       PYTHIA_TRACE_INSTANT("bufmgr", "prefetch.wait", now, "wait_us",
                            result.prefetch_wait_us, "page", page.page_no);
     }

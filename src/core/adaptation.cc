@@ -135,7 +135,6 @@ void AdaptationManager::ObserveQuery(size_t entry, const WorkloadQuery& query,
   while (st.window.size() > options_.window_capacity) st.window.pop_front();
   ++st.fresh;
   ++stats_.captured;
-  MetricsRegistry::Global().counter("adaptation.captured").Increment();
 
   switch (st.phase) {
     case AdaptationPhase::kIdle:
@@ -159,7 +158,6 @@ void AdaptationManager::ObserveQuery(size_t entry, const WorkloadQuery& query,
         EnterCooldown(&st);
       } else if (!wd.post_swap_probation_active()) {
         ++stats_.commits;
-        MetricsRegistry::Global().counter("adaptation.commits").Increment();
         PushEvent(AdaptationEvent::Kind::kCommit, entry,
                   system_->model(entry).revision());
         st.phase = AdaptationPhase::kIdle;
@@ -224,7 +222,6 @@ void AdaptationManager::MaybeTrigger(size_t entry, EntryState* st) {
   st->ready_at = lane_now_ + cost;
 
   ++stats_.retrains_started;
-  MetricsRegistry::Global().counter("adaptation.retrains_started").Increment();
   MetricsRegistry::Global()
       .histogram("adaptation.train_samples")
       .Record(st->train_set.size());
@@ -251,16 +248,10 @@ void AdaptationManager::MaybeTrigger(size_t entry, EntryState* st) {
 void AdaptationManager::FinishTraining(size_t entry, EntryState* st) {
   st->task.Join();
   ++stats_.retrains_completed;
-  MetricsRegistry::Global()
-      .counter("adaptation.retrains_completed")
-      .Increment();
 
   const bool passed = ShadowValidate(entry, st);
   if (passed) {
     ++stats_.validations_passed;
-    MetricsRegistry::Global()
-        .counter("adaptation.validations_passed")
-        .Increment();
     const uint64_t revision = system_->SwapModel(
         entry, std::move(*st->candidate), options_.probation_sessions);
     ++stats_.swaps;
@@ -268,9 +259,6 @@ void AdaptationManager::FinishTraining(size_t entry, EntryState* st) {
     st->phase = AdaptationPhase::kProbation;
   } else {
     ++stats_.validations_failed;
-    MetricsRegistry::Global()
-        .counter("adaptation.validations_failed")
-        .Increment();
     PushEvent(AdaptationEvent::Kind::kReject, entry,
               system_->model(entry).revision());
     EnterCooldown(st);

@@ -1,6 +1,5 @@
 #include "core/channel_breaker.h"
 
-#include "util/metrics_registry.h"
 #include "util/trace.h"
 
 namespace pythia {
@@ -18,7 +17,6 @@ bool ChannelBreakerBoard::AllowSpeculative(size_t channel) {
   const double score = tracker_->Score(channel);
   const bool judged = tracker_->SampleCount(channel) >= options_.min_samples &&
                       tracker_->HasReference();
-  MetricsRegistry& reg = MetricsRegistry::Global();
 
   std::lock_guard<std::mutex> lock(mu_);
   ChannelSlot& slot = states_[channel];
@@ -28,7 +26,6 @@ bool ChannelBreakerBoard::AllowSpeculative(size_t channel) {
         slot.state = BreakerState::kOpen;
         ++stats_.quarantines;
         ++stats_.speculative_denied;
-        reg.counter("brownout.quarantines").Increment();
         PYTHIA_TRACE_INSTANT_CTX("io", "brownout.quarantine", "channel",
                                  channel);
         return false;
@@ -42,11 +39,9 @@ bool ChannelBreakerBoard::AllowSpeculative(size_t channel) {
         slot.probes_left =
             options_.probe_budget > 0 ? options_.probe_budget - 1 : 0;
         ++stats_.probes;
-        reg.counter("brownout.probes").Increment();
         if (slot.probes_left == 0) {
           slot.state = BreakerState::kClosed;
           ++stats_.reinstatements;
-          reg.counter("brownout.reinstatements").Increment();
         }
         return true;
       }
@@ -57,16 +52,13 @@ bool ChannelBreakerBoard::AllowSpeculative(size_t channel) {
         slot.state = BreakerState::kOpen;
         ++stats_.requarantines;
         ++stats_.speculative_denied;
-        reg.counter("brownout.requarantines").Increment();
         return false;
       }
       ++stats_.probes;
-      reg.counter("brownout.probes").Increment();
       if (slot.probes_left > 0) --slot.probes_left;
       if (slot.probes_left == 0) {
         slot.state = BreakerState::kClosed;
         ++stats_.reinstatements;
-        reg.counter("brownout.reinstatements").Increment();
         PYTHIA_TRACE_INSTANT_CTX("io", "brownout.reinstate", "channel",
                                  channel);
       }

@@ -27,6 +27,12 @@ PrefetchGovernor::PrefetchGovernor(const GovernorOptions& options,
   if (max_pinned_ == 0) max_pinned_ = 1;
   max_aio_ = options.max_outstanding_aio > 0 ? options.max_outstanding_aio
                                              : io_->num_channels() * 4;
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  for (int r = 0; r < kNumDegradationRungs; ++r) {
+    dwell_[r] = &reg.histogram(
+        std::string("overload.rung_dwell.") +
+        DegradationRungName(static_cast<DegradationRung>(r)));
+  }
 }
 
 uint64_t PrefetchGovernor::RegisterSession(PrefetchSession* session,
@@ -35,11 +41,6 @@ uint64_t PrefetchGovernor::RegisterSession(PrefetchSession* session,
   sessions_[id] = SessionEntry{session, priority, 0};
   ++stats_.sessions_registered;
   return id;
-}
-
-void PrefetchGovernor::ReattachSession(uint64_t id, PrefetchSession* session) {
-  auto it = sessions_.find(id);
-  if (it != sessions_.end()) it->second.session = session;
 }
 
 void PrefetchGovernor::UnregisterSession(uint64_t id) {
@@ -61,7 +62,6 @@ bool PrefetchGovernor::TryAcquirePin(uint64_t session_id, SimTime now) {
   // pages would not free a channel.
   if (outstanding_aio(now) >= max_aio_) {
     ++stats_.aio_deferrals;
-    MetricsRegistry::Global().counter("overload.aio_deferrals").Increment();
     return false;
   }
 
@@ -77,7 +77,6 @@ bool PrefetchGovernor::TryAcquirePin(uint64_t session_id, SimTime now) {
     }
     if (victim == nullptr) {
       ++stats_.pin_denials;
-      MetricsRegistry::Global().counter("overload.pin_denials").Increment();
       PYTHIA_TRACE_INSTANT("overload", "pin.deny", now, "pins",
                            static_cast<uint64_t>(total_pins_));
       return false;
@@ -92,9 +91,6 @@ bool PrefetchGovernor::TryAcquirePin(uint64_t session_id, SimTime now) {
     total_pins_ -= std::min(total_pins_, shed);
     ++stats_.shed_events;
     stats_.pages_shed += shed;
-    MetricsRegistry& reg = MetricsRegistry::Global();
-    reg.counter("overload.shed_events").Increment();
-    reg.counter("overload.pages_shed").Increment(shed);
     PYTHIA_TRACE_INSTANT("overload", "shed", now, "pages",
                          static_cast<uint64_t>(shed), "victim_prio",
                          static_cast<uint64_t>(victim->priority));
@@ -103,7 +99,6 @@ bool PrefetchGovernor::TryAcquirePin(uint64_t session_id, SimTime now) {
   ++it->second.pins;
   ++total_pins_;
   ++stats_.pin_grants;
-  MetricsRegistry::Global().counter("overload.pin_grants").Increment();
   return true;
 }
 
@@ -162,23 +157,17 @@ double PrefetchGovernor::RungThreshold(DegradationRung rung) const {
 
 void PrefetchGovernor::SetRung(DegradationRung next, SimTime now) {
   if (next == rung_) return;
-  MetricsRegistry& reg = MetricsRegistry::Global();
   // How long the outgoing rung was dwelt on, in virtual µs (saturating:
   // restarts rewind the clock, and a 0-length dwell is still a sample).
   const SimTime dwell = now >= rung_since_ ? now - rung_since_ : 0;
-  reg.histogram(std::string("overload.rung_dwell.") +
-                DegradationRungName(rung_))
-      .Record(dwell);
+  dwell_[static_cast<int>(rung_)]->Record(dwell);
   rung_since_ = now;
   if (static_cast<int>(next) > static_cast<int>(rung_)) {
     ++stats_.rung_degrades;
-    reg.counter("overload.rung_degrades").Increment();
   } else {
     ++stats_.rung_recoveries;
-    reg.counter("overload.rung_recoveries").Increment();
   }
   rung_ = next;
-  reg.gauge("overload.rung").Set(static_cast<int64_t>(rung_));
   // The last rung sheds even the kernel's speculation: OS readahead is
   // suppressed system-wide until the ladder climbs back up. Hedged reads
   // are shed earlier (suppress_hedging_at): under systemic overload a
@@ -227,7 +216,6 @@ void PrefetchGovernor::Reset() {
   rung_ = DegradationRung::kFullNeural;
   rung_since_ = 0;
   stats_ = GovernorStats();
-  MetricsRegistry::Global().gauge("overload.rung").Set(0);
 }
 
 }  // namespace pythia

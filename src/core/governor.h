@@ -29,8 +29,7 @@
 // identical decisions, and a seeded concurrent replay stays byte-identical.
 //
 // Thread-safety: none needed — like the rest of the replay stack it runs on
-// the single simulation thread; the only cross-thread artifacts are the
-// MetricsRegistry mirrors, which are atomic.
+// the single simulation thread.
 #ifndef PYTHIA_CORE_GOVERNOR_H_
 #define PYTHIA_CORE_GOVERNOR_H_
 
@@ -43,6 +42,7 @@
 #include "core/query_metrics.h"
 #include "storage/io_scheduler.h"
 #include "storage/os_cache.h"
+#include "util/metrics_registry.h"
 
 namespace pythia {
 
@@ -99,9 +99,6 @@ class PrefetchGovernor {
   // Registers a live session; higher `priority` survives shedding longer.
   // Returns the session id used by the pin calls below.
   uint64_t RegisterSession(PrefetchSession* session, int priority);
-  // Move support: the session object relocated; pins and priority carry
-  // over unchanged.
-  void ReattachSession(uint64_t id, PrefetchSession* session);
   void UnregisterSession(uint64_t id);
 
   // --- Pin budget --------------------------------------------------------
@@ -197,6 +194,8 @@ class PrefetchGovernor {
   // Virtual time the current rung was entered; SetRung records the elapsed
   // dwell into the "overload.rung_dwell.<rung>" histogram on exit.
   SimTime rung_since_ = 0;
+  // Those histograms by rung, resolved once at construction.
+  Histogram* dwell_[kNumDegradationRungs] = {};
   GovernorStats stats_;
 };
 

@@ -55,32 +55,9 @@ double PythiaModel::TrainStep(const std::vector<int32_t>& tokens,
 
 std::vector<uint32_t> PythiaModel::Predict(const std::vector<int32_t>& tokens,
                                            float threshold) {
-  std::vector<uint32_t> out;
-  PredictInto(tokens, threshold, &out);
-  return out;
-}
-
-void PythiaModel::PredictInto(const std::vector<int32_t>& tokens,
-                              float threshold, std::vector<uint32_t>* out) {
-  out->clear();
-  embedding_.ForwardInto(tokens, &embed_scratch_);
-  pos_encoding_.AddInPlace(&embed_scratch_);
-  nn::Matrix encoded = encoder_.Forward(embed_scratch_);
-  repr_scratch_.Resize(1, config_.embed_dim);
-  const float* last = encoded.row(encoded.rows() - 1);
-  for (size_t c = 0; c < config_.embed_dim; ++c) {
-    repr_scratch_.at(0, c) = last[c];
-  }
-  // Fused decoder: matmul+bias+relu, then matmul+bias, all into scratch.
-  decoder1_.ApplyRelu(repr_scratch_, &hidden_scratch_);
-  decoder2_.Apply(hidden_scratch_, &logits_scratch_);
-  // sigmoid(x) >= t  <=>  x >= log(t / (1-t)); avoids per-page exp calls.
-  const float logit_threshold = std::log(threshold / (1.0f - threshold));
-  for (size_t i = 0; i < config_.num_outputs; ++i) {
-    if (logits_scratch_.at(0, i) >= logit_threshold) {
-      out->push_back(static_cast<uint32_t>(i));
-    }
-  }
+  std::vector<std::vector<uint32_t>> out;
+  PredictBatchInto({&tokens}, threshold, &out);
+  return std::move(out[0]);
 }
 
 void PythiaModel::PredictBatchInto(
@@ -101,9 +78,10 @@ void PythiaModel::PredictBatchInto(
   // The batched decoder: two multi-row GEMMs over all B representations at
   // once instead of B single-row passes. Row r of each product is computed
   // exactly as the 1-row path computes it, so the thresholded index lists
-  // below match per-request PredictInto bit for bit.
+  // below match a per-request Predict bit for bit.
   decoder1_.ApplyRelu(repr_scratch_, &hidden_scratch_);
   decoder2_.Apply(hidden_scratch_, &logits_scratch_);
+  // sigmoid(x) >= t  <=>  x >= log(t / (1-t)); avoids per-page exp calls.
   const float logit_threshold = std::log(threshold / (1.0f - threshold));
   for (size_t r = 0; r < b; ++r) {
     std::vector<uint32_t>& row_out = (*out)[r];

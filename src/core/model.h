@@ -48,27 +48,20 @@ class PythiaModel {
   double TrainStep(const std::vector<int32_t>& tokens,
                    const std::vector<uint32_t>& positive_outputs);
 
-  // Output indices whose sigmoid probability is >= threshold.
+  // Output indices whose sigmoid probability is >= threshold: a one-row
+  // PredictBatchInto.
   std::vector<uint32_t> Predict(const std::vector<int32_t>& tokens,
                                 float threshold = 0.5f);
 
-  // Inference fast path: same arithmetic as Predict, but the decoder runs
-  // through fused matmul+bias(+relu) kernels into member scratch and the
-  // result lands in a caller-owned buffer, so the decoder stage allocates
-  // nothing in steady state (the encoder's layer scratch is reused the
-  // same way inside nn/). Used by WorkloadModel::Predict, once per model
-  // unit per query.
-  void PredictInto(const std::vector<int32_t>& tokens, float threshold,
-                   std::vector<uint32_t>* out);
-
-  // Batch-dim inference: one PredictInto-equivalent result per request.
-  // The encoder stays per-sequence (attention mixes rows within a sequence
-  // and lengths differ), but the B query representations are gathered into
-  // one (B x embed_dim) scratch matrix and pushed through the decoder as
-  // two multi-row GEMMs — the amortization the batched prediction engine
+  // Batch-dim inference, the one inference path: one index list per
+  // request. The encoder stays per-sequence (attention mixes rows within a
+  // sequence and lengths differ), but the B query representations are
+  // gathered into one (B x embed_dim) scratch matrix and pushed through the
+  // decoder as two fused multi-row GEMMs (matmul+bias(+relu) into member
+  // scratch) — the amortization the batched prediction engine
   // (core/batch_predictor.h) exists for. Every output row is bit-identical
-  // to PredictInto on the same tokens: the GEMM kernels compute each output
-  // row with the same k-loop order regardless of the row count
+  // to a one-row call on the same tokens: the GEMM kernels compute each
+  // output row with the same k-loop order regardless of the row count
   // (nn/matrix.cc), and the bias/ReLU epilogues and the logit thresholding
   // are row-wise. out is resized to batch.size().
   void PredictBatchInto(const std::vector<const std::vector<int32_t>*>& batch,
@@ -104,10 +97,9 @@ class PythiaModel {
   nn::Linear decoder2_;
   size_t last_seq_len_ = 0;
 
-  // PredictInto scratch (query representation, decoder hidden, logits).
-  // PredictBatchInto reuses the same matrices at (B x ...) shapes — Resize
-  // never shrinks capacity, so alternating between batch sizes does not
-  // reallocate in steady state.
+  // PredictBatchInto scratch (query representations, decoder hidden,
+  // logits) at (B x ...) shapes — Resize never shrinks capacity, so
+  // alternating between batch sizes does not reallocate in steady state.
   nn::Matrix embed_scratch_;
   nn::Matrix repr_scratch_;
   nn::Matrix hidden_scratch_;

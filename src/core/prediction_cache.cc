@@ -1,7 +1,5 @@
 #include "core/prediction_cache.h"
 
-#include "util/metrics_registry.h"
-
 namespace pythia {
 
 std::string PredictionCache::PlanKey(
@@ -53,7 +51,6 @@ bool PredictionCache::BeginInflight(const PredictionKey& key) {
   if (inserted) return true;  // leader
   ++it->second;
   ++stats_.dedup_joins;
-  MetricsRegistry::Global().counter("prediction_cache.dedup_joins").Increment();
   return false;
 }
 
@@ -64,33 +61,18 @@ size_t PredictionCache::PublishInflight(const PredictionKey& key,
   const size_t followers = it->second;
   inflight_.erase(it);
   Insert(key, std::move(pages));
-  if (followers > 0) {
-    stats_.fanouts += followers;
-    MetricsRegistry::Global()
-        .counter("prediction_cache.fanout")
-        .Increment(followers);
-  }
+  stats_.fanouts += followers;
   return followers;
 }
 
 void PredictionCache::AbortInflight(const PredictionKey& key) {
-  if (inflight_.erase(key) > 0) {
-    ++stats_.inflight_aborts;
-    MetricsRegistry::Global()
-        .counter("prediction_cache.inflight_aborts")
-        .Increment();
-  }
+  if (inflight_.erase(key) > 0) ++stats_.inflight_aborts;
 }
 
 size_t PredictionCache::AbortAllInflight() {
   const size_t aborted = inflight_.size();
-  if (aborted > 0) {
-    inflight_.clear();
-    stats_.inflight_aborts += aborted;
-    MetricsRegistry::Global()
-        .counter("prediction_cache.inflight_aborts")
-        .Increment(aborted);
-  }
+  inflight_.clear();
+  stats_.inflight_aborts += aborted;
   return aborted;
 }
 

@@ -71,9 +71,7 @@ class PredictionCache {
   // requests into flush windows. When several requests in one window carry
   // the same fingerprint, exactly one — the leader — may run a forward
   // pass; the rest join the leader's in-flight registration and are fanned
-  // the published result. Dedupe joins and fanouts are counted both in
-  // stats() and in the MetricsRegistry ("prediction_cache.dedup_joins",
-  // "prediction_cache.fanout").
+  // the published result. Dedupe joins and fanouts are counted in stats().
 
   // Registers interest in `key` for the current window. True: the caller is
   // the leader and must eventually Publish or Abort the key. False: an

@@ -421,24 +421,7 @@ IncrementalTrainReport WorkloadModel::IncrementalTrain(
 
 std::unordered_set<PageId> WorkloadModel::Predict(
     const std::vector<std::string>& tokens) {
-  const std::vector<int32_t> encoded = vocab_.Encode(tokens);
-  // Per-unit inference fans out on the shared pool; each lane writes only
-  // its unit's pred_scratch, and the merge below walks units in order, so
-  // the result set is identical to a sequential loop.
-  ThreadPool::Global().ParallelFor(
-      0, units_.size(),
-      [&](size_t u) {
-        units_[u].model->PredictInto(encoded, options_.threshold,
-                                     &units_[u].pred_scratch);
-      },
-      options_.num_threads);
-  std::unordered_set<PageId> out;
-  for (Unit& unit : units_) {
-    for (uint32_t idx : unit.pred_scratch) {
-      out.insert(unit.output_pages[idx]);
-    }
-  }
-  return out;
+  return std::move(PredictBatch({&tokens})[0]);
 }
 
 std::vector<std::unordered_set<PageId>> WorkloadModel::PredictBatch(
@@ -451,9 +434,9 @@ std::vector<std::unordered_set<PageId>> WorkloadModel::PredictBatch(
     encoded[i] = vocab_.Encode(*token_seqs[i]);
     batch[i] = &encoded[i];
   }
-  // Same fan-out discipline as Predict: each lane writes only its unit's
-  // batch_scratch and the merge walks units in order per query, so every
-  // result set is identical to a sequential per-query Predict.
+  // Per-unit inference fans out on the shared pool; each lane writes only
+  // its unit's batch_scratch, and the merge walks units in order per query,
+  // so every result set is identical to a sequential loop.
   ThreadPool::Global().ParallelFor(
       0, units_.size(),
       [&](size_t u) {

@@ -124,12 +124,13 @@ class WorkloadModel {
   WorkloadModel(WorkloadModel&&) = default;
   WorkloadModel& operator=(WorkloadModel&&) = default;
 
-  // Predicted page set for a serialized plan. Unknown tokens map to [UNK].
+  // Predicted page set for a serialized plan: a one-row PredictBatch.
+  // Unknown tokens map to [UNK].
   std::unordered_set<PageId> Predict(const std::vector<std::string>& tokens);
 
   // Batched Predict: one result set per token sequence, bit-identical to
-  // calling Predict on each sequence in order. The unit fan-out matches
-  // Predict's (ParallelFor, unit-ordered merge); inside each unit the B
+  // calling Predict on each sequence in order. Units fan out on the shared
+  // pool (ParallelFor, unit-ordered merge); inside each unit the B
   // query representations run through the decoder as one multi-row GEMM
   // pass (PythiaModel::PredictBatchInto), amortizing the per-unit forward
   // cost across the whole batch. Pointers must stay valid for the call.
@@ -220,10 +221,9 @@ class WorkloadModel {
   struct Unit {
     std::unique_ptr<PythiaModel> model;
     std::vector<PageId> output_pages;  // output index -> page
-    // Per-unit prediction buffer reused across queries (written only by
-    // the ParallelFor lane owning this unit, merged in unit order).
-    std::vector<uint32_t> pred_scratch;
-    // PredictBatch counterpart: one index list per batch row.
+    // Per-unit prediction buffer reused across calls, one index list per
+    // batch row (written only by the ParallelFor lane owning this unit,
+    // merged in unit order).
     std::vector<std::vector<uint32_t>> batch_scratch;
     // Optimizer kept across incremental-training rounds (lazily created on
     // the first round; never serialized — a loaded model starts fresh).

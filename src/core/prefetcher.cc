@@ -38,30 +38,6 @@ PrefetchSession::PrefetchSession(std::vector<PageId> pages,
   }
 }
 
-PrefetchSession::PrefetchSession(PrefetchSession&& other) noexcept
-    : queue_(std::move(other.queue_)),
-      next_(other.next_),
-      options_(other.options_),
-      budget_(other.budget_),
-      pool_(other.pool_),
-      os_cache_(other.os_cache_),
-      io_(other.io_),
-      latency_(other.latency_),
-      outstanding_(std::move(other.outstanding_)),
-      stats_(other.stats_),
-      finished_(other.finished_),
-      governor_id_(other.governor_id_) {
-  // The moved-from session no longer owns any pins; its destructor's
-  // Finish() must be a no-op, and the governor must shed from (and
-  // unregister) the live object, not the husk.
-  other.outstanding_.clear();
-  other.finished_ = true;
-  other.governor_id_ = 0;
-  if (options_.governor != nullptr && governor_id_ != 0) {
-    options_.governor->ReattachSession(governor_id_, this);
-  }
-}
-
 void PrefetchSession::ExpireTimedOut(SimTime now) {
   if (options_.prefetch_timeout_us == 0) return;
   for (auto it = outstanding_.begin(); it != outstanding_.end();) {

@@ -96,7 +96,8 @@ class PrefetchSession {
   // A session owns buffer pins; destruction finishes it so an aborted query
   // (error mid-replay, cancelled batch) can never leak pins.
   ~PrefetchSession() { Finish(); }
-  PrefetchSession(PrefetchSession&& other) noexcept;
+  // Not movable: the governor holds this session's address for shedding.
+  PrefetchSession(PrefetchSession&&) = delete;
   PrefetchSession& operator=(PrefetchSession&&) = delete;
   PrefetchSession(const PrefetchSession&) = delete;
   PrefetchSession& operator=(const PrefetchSession&) = delete;

@@ -6,7 +6,6 @@
 #include <limits>
 #include <thread>
 
-#include "util/metrics_registry.h"
 #include "util/trace.h"
 
 namespace pythia {
@@ -105,14 +104,6 @@ SimEnvironment::SimEnvironment(const SimOptions& options)
     health_ =
         std::make_unique<ChannelHealthTracker>(channels, options.channel_health);
     os_cache_->set_health_tracker(health_.get());
-    // The AIO-side tracker is telemetry only: hedging is a cache-read
-    // remedy, and a second hedging tracker would double-count against the
-    // io.hedge.* registry mirrors.
-    ChannelHealthOptions aio_health_options = options.channel_health;
-    aio_health_options.hedging_enabled = false;
-    aio_health_ = std::make_unique<ChannelHealthTracker>(io_->num_channels(),
-                                                         aio_health_options);
-    io_->set_health_tracker(aio_health_.get());
     if (options.channel_breakers) {
       breakers_ = std::make_unique<ChannelBreakerBoard>(
           options.channel_breaker, health_.get());
@@ -147,7 +138,6 @@ void SimEnvironment::ResetFaults() {
 
 void SimEnvironment::ResetChannelHealth() {
   if (health_ != nullptr) health_->Reset();
-  if (aio_health_ != nullptr) aio_health_->Reset();
   if (breakers_ != nullptr) breakers_->Reset();
 }
 
@@ -209,7 +199,6 @@ ConcurrentResult ReplayConcurrent(const std::vector<ConcurrentQuery>& queries,
   // Latest virtual time any event has been processed at. Queue admissions
   // can never happen before it — a freed slot is only usable "now".
   SimTime watermark = 0;
-  MetricsRegistry& reg = MetricsRegistry::Global();
 
   auto finish_query = [&](size_t i, SimTime end, Status status) {
     QueryState& st = states[i];
@@ -249,8 +238,6 @@ ConcurrentResult ReplayConcurrent(const std::vector<ConcurrentQuery>& queries,
         std::max(result.admission.max_queue_wait_us, wait);
     if (wait > 0) {
       ++result.admission.admitted_after_wait;
-      reg.counter("overload.admitted_after_wait").Increment();
-      reg.histogram("overload.queue_wait_us").Record(wait);
       PYTHIA_TRACE_INSTANT("overload", "admit.queued", start, "query",
                            static_cast<uint64_t>(i), "wait_us",
                            static_cast<uint64_t>(wait));
@@ -302,7 +289,6 @@ ConcurrentResult ReplayConcurrent(const std::vector<ConcurrentQuery>& queries,
     result.queries[i].status =
         Status::ResourceExhausted("admission queue full");
     ++result.admission.rejected;
-    reg.counter("overload.admission_rejected").Increment();
     PYTHIA_TRACE_INSTANT("overload", "admit.reject", arrival, "query",
                          static_cast<uint64_t>(i));
   };
@@ -377,7 +363,6 @@ ConcurrentResult ReplayConcurrent(const std::vector<ConcurrentQuery>& queries,
         st.session != nullptr && !st.session->finished()) {
       st.deadline_exceeded = true;
       ++result.admission.deadline_stops;
-      reg.counter("overload.deadline_stops").Increment();
       result.queries[pick].prefetch_stats = st.session->stats();
       st.session->Finish();
       PYTHIA_TRACE_INSTANT("overload", "deadline.stop", st.clock, "query",

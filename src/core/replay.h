@@ -66,8 +66,7 @@ struct SimOptions {
   // Gray-failure resilience (storage/channel_health.h). channel_health.enabled
   // constructs one tracker over the OS-cache storage channels (fed by every
   // device read, consulted for hedged foreground reads when
-  // channel_health.hedging_enabled) and a second, hedging-free tracker over
-  // the AIO scheduler channels (occupancy-time telemetry only).
+  // channel_health.hedging_enabled).
   ChannelHealthOptions channel_health;
   // Per-channel brownout breakers shedding speculative traffic off
   // gray-failing channels (core/channel_breaker.h). Requires
@@ -96,7 +95,7 @@ class SimEnvironment {
   // so two experiment arms observe the identical fault sequence.
   void ResetFaults();
 
-  // Clears the health trackers, hedge budget and breaker board back to their
+  // Clears the health tracker, hedge budget and breaker board back to their
   // constructed state, for paired experiment arms. Deliberately separate
   // from ColdRestart(): like the fault streams, channel health is a property
   // of the device over time, and a database restart does not heal a slow
@@ -110,11 +109,9 @@ class SimEnvironment {
   FaultInjector* fault_injector() { return injector_.get(); }
   // nullptr unless corruption faults or verify_page_checksums are on.
   SimulatedDisk* disk() { return disk_.get(); }
-  // nullptr unless channel_health.enabled. channel_health() covers the
-  // OS-cache storage channels; aio_channel_health() the AIO scheduler
+  // nullptr unless channel_health.enabled. Covers the OS-cache storage
   // channels.
   ChannelHealthTracker* channel_health() { return health_.get(); }
-  ChannelHealthTracker* aio_channel_health() { return aio_health_.get(); }
   // nullptr unless channel_breakers was set (and channel_health.enabled).
   ChannelBreakerBoard* channel_breakers() { return breakers_.get(); }
   const SimOptions& options() const { return options_; }
@@ -133,8 +130,7 @@ class SimEnvironment {
   std::unique_ptr<OsPageCache> os_cache_;
   std::unique_ptr<BufferPool> pool_;
   std::unique_ptr<IoScheduler> io_;
-  std::unique_ptr<ChannelHealthTracker> health_;      // storage channels
-  std::unique_ptr<ChannelHealthTracker> aio_health_;  // AIO channels
+  std::unique_ptr<ChannelHealthTracker> health_;  // storage channels
   std::unique_ptr<ChannelBreakerBoard> breakers_;
 };
 

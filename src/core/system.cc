@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/adaptation.h"
-#include "util/metrics_registry.h"
 #include "util/trace.h"
 
 namespace pythia {
@@ -64,7 +63,6 @@ uint64_t PythiaSystem::SwapModel(size_t index, WorkloadModel&& candidate,
   entry.model = std::move(candidate);
   entry.last_known_good = std::move(outgoing);
   entry.watchdog.RestartForNewModel(probation_sessions);
-  MetricsRegistry::Global().counter("adaptation.swaps").Increment();
   PYTHIA_TRACE_INSTANT_CTX("adaptation", "model_swap", "entry", index,
                            "revision", entry.model.revision());
   return entry.model.revision();
@@ -81,7 +79,6 @@ bool PythiaSystem::RollbackModel(size_t index) {
   // The watchdog judged the rejected model; restart clean (no probation —
   // the snapshot already earned trust before it was swapped out).
   entry.watchdog.RestartForNewModel(0);
-  MetricsRegistry::Global().counter("adaptation.rollbacks").Increment();
   PYTHIA_TRACE_INSTANT_CTX("adaptation", "model_rollback", "entry", index,
                            "revision", entry.model.revision());
   return true;
@@ -330,28 +327,6 @@ QueryRunMetrics PythiaSystem::RunQuery(
     adaptation_->ObserveQuery(static_cast<size_t>(watchdog_entry), query,
                               metrics);
   }
-
-  // Mirror the per-query outcome into the process-wide registry, so one
-  // snapshot answers "what has this process done so far" across benches and
-  // tests without threading struct references around.
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  reg.counter("query.runs").Increment();
-  if (metrics.degraded_by_breaker || metrics.degraded_by_watchdog ||
-      metrics.degraded_by_governor) {
-    reg.counter("query.degraded").Increment();
-  }
-  reg.counter(std::string("overload.served.") +
-              DegradationRungName(metrics.rung))
-      .Increment();
-  reg.counter("prefetch.issued").Increment(session.issued);
-  reg.counter("prefetch.consumed").Increment(session.consumed);
-  reg.counter("prefetch.dropped_faulty").Increment(session.dropped_faulty);
-  reg.counter("prefetch.dropped_corrupt").Increment(session.dropped_corrupt);
-  reg.counter("prefetch.shed").Increment(session.rejected_by_pool);
-  reg.counter("prefetch.timed_out").Increment(session.timed_out);
-  reg.histogram("query.elapsed_us").Record(metrics.elapsed_us);
-  reg.gauge("bufmgr.pinned_frames")
-      .Set(static_cast<int64_t>(env_->pool().pinned_frames()));
   return metrics;
 }
 

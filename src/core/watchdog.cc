@@ -1,7 +1,6 @@
 #include "core/watchdog.h"
 
 #include "util/metrics.h"
-#include "util/metrics_registry.h"
 #include "util/trace.h"
 
 namespace pythia {
@@ -25,9 +24,6 @@ bool PredictionWatchdog::AllowPrediction() {
       if (probation_remaining_ == 0) {
         health_ = ModelHealth::kProbation;
         probe_successes_ = 0;
-        MetricsRegistry::Global()
-            .counter("watchdog.transitions.probation")
-            .Increment();
       }
       // This query still runs on the baseline; the *next* one may probe.
       return false;
@@ -65,9 +61,6 @@ void PredictionWatchdog::Record(uint64_t attempted, uint64_t consumed) {
         health_ = ModelHealth::kHealthy;
         window_.clear();
         ++stats_.reinstatements;
-        MetricsRegistry::Global()
-            .counter("watchdog.transitions.reinstate")
-            .Increment();
         PYTHIA_TRACE_INSTANT_CTX("watchdog", "reinstate", "reinstatements",
                                  stats_.reinstatements);
       }
@@ -92,7 +85,6 @@ void PredictionWatchdog::Demote() {
   probe_successes_ = 0;
   ++stats_.demotions;
   if (post_swap_remaining_ > 0) post_swap_demoted_ = true;
-  MetricsRegistry::Global().counter("watchdog.transitions.demote").Increment();
   PYTHIA_TRACE_INSTANT_CTX("watchdog", "demote", "demotions",
                            stats_.demotions);
 }

@@ -46,11 +46,9 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "storage/sim_clock.h"
-#include "util/metrics_registry.h"
 
 namespace pythia {
 
@@ -75,15 +73,13 @@ struct ChannelHealthOptions {
   double hedge_budget_fraction = 0.05;
 };
 
-// Point-in-time hedge accounting (also mirrored into the MetricsRegistry
-// under io.hedge.*).
+// Point-in-time hedge accounting.
 struct ChannelHealthCounters {
   uint64_t reads_observed = 0;
   uint64_t hedges_issued = 0;
   uint64_t hedges_won = 0;     // hedge completed before the primary
   uint64_t hedges_wasted = 0;  // primary beat the hedge: budget spent for nothing
   uint64_t hedges_denied_budget = 0;
-  uint64_t hedges_suppressed = 0;  // denied while the governor suppressed hedging
 };
 
 class ChannelHealthTracker {
@@ -92,11 +88,6 @@ class ChannelHealthTracker {
       : options_(options),
         channels_(num_channels == 0 ? 1 : num_channels) {
     for (auto& ch : channels_) ch = std::make_unique<ChannelState>();
-    MetricsRegistry& reg = MetricsRegistry::Global();
-    issued_counter_ = &reg.counter("io.hedge.issued");
-    won_counter_ = &reg.counter("io.hedge.won");
-    wasted_counter_ = &reg.counter("io.hedge.wasted");
-    denied_counter_ = &reg.counter("io.hedge.denied_by_budget");
   }
 
   // Feeds one device-read completion on `channel`. Takes only that
@@ -235,11 +226,9 @@ class ChannelHealthTracker {
     const uint64_t issued = hedges_issued_.load(std::memory_order_relaxed);
     if (static_cast<double>(issued + 1) > budget) {
       hedges_denied_budget_.fetch_add(1, std::memory_order_relaxed);
-      denied_counter_->Increment();
       return false;
     }
     hedges_issued_.store(issued + 1, std::memory_order_relaxed);
-    issued_counter_->Increment();
     return true;
   }
 
@@ -247,10 +236,8 @@ class ChannelHealthTracker {
   void RecordHedgeOutcome(bool won) {
     if (won) {
       hedges_won_.fetch_add(1, std::memory_order_relaxed);
-      won_counter_->Increment();
     } else {
       hedges_wasted_.fetch_add(1, std::memory_order_relaxed);
-      wasted_counter_->Increment();
     }
   }
 
@@ -375,11 +362,6 @@ class ChannelHealthTracker {
   std::atomic<uint64_t> hedges_wasted_{0};
   std::atomic<uint64_t> hedges_denied_budget_{0};
   std::atomic<bool> hedging_suppressed_{false};
-
-  Counter* issued_counter_ = nullptr;
-  Counter* won_counter_ = nullptr;
-  Counter* wasted_counter_ = nullptr;
-  Counter* denied_counter_ = nullptr;
 };
 
 }  // namespace pythia

@@ -15,7 +15,6 @@
 #include <utility>
 #include <vector>
 
-#include "storage/channel_health.h"
 #include "storage/fault_injector.h"
 #include "storage/sim_clock.h"
 #include "util/metrics_registry.h"
@@ -41,9 +40,7 @@ namespace pythia {
 class IoScheduler {
  public:
   explicit IoScheduler(size_t num_channels)
-      : free_at_(num_channels == 0 ? 1 : num_channels, 0),
-        channel_ops_(free_at_.size(), 0),
-        channel_busy_us_(free_at_.size(), 0) {
+      : free_at_(num_channels == 0 ? 1 : num_channels, 0) {
     heap_.reserve(free_at_.size());
     for (size_t i = 0; i < free_at_.size(); ++i) heap_.emplace_back(0, i);
     // (0, i) pairs arrive index-sorted: already a valid min-heap.
@@ -74,12 +71,8 @@ class IoScheduler {
     heap_.back().first = free_at_[best];
     std::push_heap(heap_.begin(), heap_.end(), HeapAfter);
     ++scheduled_ops_;
-    ++channel_ops_[best];
-    const SimTime busy = stall + latency_us;
-    channel_busy_us_[best] += busy;
     ops_counters_[best]->Increment();
-    busy_counters_[best]->Increment(busy);
-    if (health_ != nullptr) health_->RecordRead(best, busy);
+    busy_counters_[best]->Increment(stall + latency_us);
     // The span covers queueing + stall + device time, so in the trace the
     // async read visibly overlaps the executor lane it was issued from.
     PYTHIA_TRACE_IO_SPAN("io", "aio", now, free_at_[best], "channel", best,
@@ -89,11 +82,6 @@ class IoScheduler {
 
   // Not owned; may be nullptr (no stalls).
   void set_fault_injector(FaultInjector* injector) { injector_ = injector; }
-
-  // Optional per-channel health tracker fed with every scheduled request's
-  // channel-occupancy time (stall + device latency) — the AIO-side gray
-  // failure signal. Not owned; must be sized to num_channels() or wider.
-  void set_health_tracker(ChannelHealthTracker* health) { health_ = health; }
 
   // Earliest time a new request issued at `now` could start.
   SimTime EarliestStart(SimTime now) const {
@@ -121,28 +109,18 @@ class IoScheduler {
     std::lock_guard<std::mutex> lock(mu_);
     return scheduled_ops_;
   }
-  uint64_t channel_ops(size_t channel) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return channel_ops_[channel];
-  }
-  SimTime channel_busy_us(size_t channel) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return channel_busy_us_[channel];
-  }
 
   // Clears the channel timelines and counters AND rewinds the attached
   // injector's stall stream: a reset scheduler replaying a request sequence
   // is bit-identical to a fresh one (the same contract ClockPolicy::Reset
   // honors for eviction decisions). The injector's read-fault streams are
   // untouched — those belong to the device, not to this scheduler. The
-  // registry's io.channel.* mirrors are process-cumulative and keep
-  // counting across resets, like every other registry metric.
+  // per-channel io.channel.<i>.{ops,busy_us} registry counters are
+  // process-cumulative and keep counting across resets.
   void Reset() {
     std::lock_guard<std::mutex> lock(mu_);
     for (SimTime& t : free_at_) t = 0;
     for (size_t i = 0; i < heap_.size(); ++i) heap_[i] = {0, i};
-    for (uint64_t& n : channel_ops_) n = 0;
-    for (SimTime& t : channel_busy_us_) t = 0;
     scheduled_ops_ = 0;
     if (injector_ != nullptr) injector_->ResetStallStream();
   }
@@ -161,13 +139,12 @@ class IoScheduler {
   std::vector<SimTime> free_at_;
   // One (free_time, channel) entry per channel, heap-ordered by HeapAfter.
   std::vector<std::pair<SimTime, size_t>> heap_;
-  std::vector<uint64_t> channel_ops_;
-  std::vector<SimTime> channel_busy_us_;
+  // Per-channel "io.channel.<i>.{ops,busy_us}" registry counters, resolved
+  // once at construction.
   std::vector<Counter*> ops_counters_;
   std::vector<Counter*> busy_counters_;
   uint64_t scheduled_ops_ = 0;
   FaultInjector* injector_ = nullptr;
-  ChannelHealthTracker* health_ = nullptr;
 };
 
 }  // namespace pythia

@@ -22,12 +22,6 @@ inline double SafeDiv(double numerator, double denominator) {
   return denominator == 0.0 ? 0.0 : numerator / denominator;
 }
 
-// Model-file integrity counters moved behind the atomic MetricsRegistry
-// ("model.*" counters; snapshot via ModelIntegritySnapshot() in
-// util/metrics_registry.h). The old GlobalModelIntegrity() singleton of
-// plain uint64 fields was a data race once model save/load/retrain could
-// run on ThreadPool lanes.
-
 // Counters for the plan-fingerprint prediction memoization cache
 // (core/prediction_cache.h). An eviction is counted when an insert pushes
 // out the least recently used entry, not when Clear() drops everything.

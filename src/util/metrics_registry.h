@@ -18,7 +18,9 @@
 // never removes a metric), so call sites may cache `Counter&` references
 // across calls — after the first lookup, incrementing is wait-free.
 // Naming convention: dotted lowercase paths, subsystem first
-// ("model.loads_ok", "prefetch.issued", "query.elapsed_us").
+// ("model.loads_ok", "io.channel.0.busy_us", "recovery.recovery_wall_us").
+// A count a component already keeps in its own stats struct is read there
+// and is not copied into the registry: every count has one home.
 #ifndef PYTHIA_UTIL_METRICS_REGISTRY_H_
 #define PYTHIA_UTIL_METRICS_REGISTRY_H_
 

@@ -18,7 +18,8 @@ namespace {
 thread_local bool tls_in_worker = false;
 }  // namespace
 
-ThreadPool::ThreadPool(size_t num_workers) {
+ThreadPool::ThreadPool(size_t num_workers)
+    : queue_depth_(MetricsRegistry::Global().gauge("threadpool.queue_depth")) {
   workers_.reserve(num_workers);
   for (size_t i = 0; i < num_workers; ++i) {
     workers_.emplace_back([this, i] { WorkerLoop(i); });
@@ -40,7 +41,6 @@ void ThreadPool::WorkerLoop(size_t lane) {
   // once per worker instead of once per task (the map lookup takes a lock).
   MetricsRegistry& registry = MetricsRegistry::Global();
   Counter& tasks_executed = registry.counter("threadpool.tasks_executed");
-  Gauge& queue_depth = registry.gauge("threadpool.queue_depth");
   Histogram& busy_us =
       registry.histogram("threadpool.lane_busy_us." + std::to_string(lane));
   for (;;) {
@@ -51,7 +51,7 @@ void ThreadPool::WorkerLoop(size_t lane) {
       if (queue_.empty()) return;  // stop_ set and nothing left to drain
       task = std::move(queue_.front());
       queue_.pop_front();
-      queue_depth.Set(static_cast<int64_t>(queue_.size()));
+      queue_depth_.Set(static_cast<int64_t>(queue_.size()));
     }
     const auto start = std::chrono::steady_clock::now();
     task();
@@ -70,9 +70,7 @@ void ThreadPool::Submit(std::function<void()> task) {
     queue_.push_back(std::move(task));
     depth = queue_.size();
   }
-  MetricsRegistry::Global()
-      .gauge("threadpool.queue_depth")
-      .Set(static_cast<int64_t>(depth));
+  queue_depth_.Set(static_cast<int64_t>(depth));
   cv_.notify_one();
 }
 

@@ -28,6 +28,8 @@
 
 namespace pythia {
 
+class Gauge;  // util/metrics_registry.h
+
 class ThreadPool {
  public:
   // Starts `num_workers` parked worker threads (0 is valid: every
@@ -101,6 +103,8 @@ class ThreadPool {
   void WorkerLoop(size_t lane);
   void Submit(std::function<void()> task);
 
+  // "threadpool.queue_depth", set on every push and pop.
+  Gauge& queue_depth_;
   std::mutex mu_;
   std::condition_variable cv_;
   std::deque<std::function<void()>> queue_;

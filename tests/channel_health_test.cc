@@ -2,6 +2,7 @@
 // fault injection and the per-channel brownout breakers.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "storage/fault_injector.h"
 #include "storage/io_scheduler.h"
 #include "storage/os_cache.h"
+#include "util/metrics_registry.h"
 
 namespace pythia {
 namespace {
@@ -283,39 +285,65 @@ TEST(StallStreamTest, StallDrawsDoNotPerturbReadStreams) {
 // IoScheduler: incremental min tracking, per-channel counters, Reset
 // --------------------------------------------------------------------------
 
+// The scheduler's per-channel counters live in the process-wide registry
+// and only grow, so tests read them as deltas.
+uint64_t ChannelCounter(size_t channel, const char* field) {
+  return MetricsRegistry::Global()
+      .counter("io.channel." + std::to_string(channel) + "." + field)
+      .value();
+}
+
 TEST(IoSchedulerChannelTest, TieBreaksToLowestIndexLikeTheLinearScan) {
   IoScheduler io(3);
+  uint64_t before[3];
+  for (size_t c = 0; c < 3; ++c) before[c] = ChannelCounter(c, "ops");
   // All channels free at 0: successive requests at now=0 must take
   // channels 0, 1, 2 in that order (the old scan's choice).
   EXPECT_EQ(io.Schedule(0, 10), 10u);
   EXPECT_EQ(io.Schedule(0, 10), 10u);
   EXPECT_EQ(io.Schedule(0, 10), 10u);
-  EXPECT_EQ(io.channel_ops(0), 1u);
-  EXPECT_EQ(io.channel_ops(1), 1u);
-  EXPECT_EQ(io.channel_ops(2), 1u);
+  EXPECT_EQ(ChannelCounter(0, "ops") - before[0], 1u);
+  EXPECT_EQ(ChannelCounter(1, "ops") - before[1], 1u);
+  EXPECT_EQ(ChannelCounter(2, "ops") - before[2], 1u);
   // Next request queues behind the earliest-free channel (all tie at 10:
   // channel 0 again).
   EXPECT_EQ(io.Schedule(0, 5), 15u);
-  EXPECT_EQ(io.channel_ops(0), 2u);
+  EXPECT_EQ(ChannelCounter(0, "ops") - before[0], 2u);
 }
 
 TEST(IoSchedulerChannelTest, PerChannelCountersSumToTotals) {
+  // The per-channel counters are process-cumulative: they keep counting
+  // across Reset() — every cold restart resets the scheduler, and device
+  // busy time is measured from deltas around a whole run of cold queries —
+  // while scheduled_ops() restarts from zero.
   IoScheduler io(4);
-  SimTime busy_expected = 0;
-  for (int i = 0; i < 100; ++i) {
-    const SimTime lat = 10 + static_cast<SimTime>(i % 7) * 3;
-    io.Schedule(static_cast<SimTime>(i), lat);
-    busy_expected += lat;
-  }
-  uint64_t ops = 0;
-  SimTime busy = 0;
+  uint64_t ops_before = 0;
+  uint64_t busy_before = 0;
   for (size_t c = 0; c < io.num_channels(); ++c) {
-    ops += io.channel_ops(c);
-    busy += io.channel_busy_us(c);
+    ops_before += ChannelCounter(c, "ops");
+    busy_before += ChannelCounter(c, "busy_us");
   }
-  EXPECT_EQ(ops, io.scheduled_ops());
-  EXPECT_EQ(ops, 100u);
-  EXPECT_EQ(busy, busy_expected);
+  SimTime busy_expected = 0;
+  auto burst = [&](int requests) {
+    for (int i = 0; i < requests; ++i) {
+      const SimTime lat = 10 + static_cast<SimTime>(i % 7) * 3;
+      io.Schedule(static_cast<SimTime>(i), lat);
+      busy_expected += lat;
+    }
+  };
+  burst(100);
+  EXPECT_EQ(io.scheduled_ops(), 100u);
+  io.Reset();
+  burst(60);
+  uint64_t ops = 0;
+  uint64_t busy = 0;
+  for (size_t c = 0; c < io.num_channels(); ++c) {
+    ops += ChannelCounter(c, "ops");
+    busy += ChannelCounter(c, "busy_us");
+  }
+  EXPECT_EQ(ops - ops_before, 160u);
+  EXPECT_EQ(busy - busy_before, busy_expected);
+  EXPECT_EQ(io.scheduled_ops(), 60u);
 }
 
 TEST(IoSchedulerChannelTest, ResetThenReplayIsBitIdenticalToFreshScheduler) {
@@ -347,19 +375,6 @@ TEST(IoSchedulerChannelTest, ResetThenReplayIsBitIdenticalToFreshScheduler) {
   for (int i = 0; i < 200; ++i) {
     EXPECT_EQ(fresh.Schedule(static_cast<SimTime>(i * 3), 50), first[i]);
   }
-}
-
-TEST(IoSchedulerChannelTest, HealthTrackerSeesChannelOccupancy) {
-  ChannelHealthOptions opts;
-  ChannelHealthTracker tracker(2, opts);
-  IoScheduler io(2);
-  io.set_health_tracker(&tracker);
-  io.Schedule(0, 100);
-  io.Schedule(0, 300);
-  EXPECT_EQ(tracker.SampleCount(0), 1u);
-  EXPECT_EQ(tracker.SampleCount(1), 1u);
-  EXPECT_DOUBLE_EQ(tracker.Ewma(0), 100.0);
-  EXPECT_DOUBLE_EQ(tracker.Ewma(1), 300.0);
 }
 
 // --------------------------------------------------------------------------

@@ -278,33 +278,6 @@ TEST_F(GovernorTest, SessionsStopPumpingAtReadaheadRung) {
   EXPECT_EQ(governor.pinned_pages(), 0u);
 }
 
-TEST_F(GovernorTest, RegistryMirrorsGovernorCounters) {
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  reg.ResetAll();
-  PrefetchGovernor governor(NoLadder(2), &pool_, &io_, &os_cache_);
-  PrefetcherOptions low;
-  low.start_delay_us = 0;
-  low.readahead_window = 100;
-  low.governor = &governor;
-  PrefetcherOptions high = low;
-  high.priority = 1;
-
-  PrefetchSession victim = MakeSession({{1, 0}, {1, 1}}, low);
-  victim.Pump(0);
-  PrefetchSession vip = MakeSession({{2, 0}, {2, 1}, {2, 2}}, high);
-  vip.Pump(0);  // sheds twice, then a denial (victim has nothing left)
-
-  const GovernorStats& s = governor.stats();
-  EXPECT_EQ(reg.counter("overload.pin_grants").value(), s.pin_grants);
-  EXPECT_EQ(reg.counter("overload.pin_denials").value(), s.pin_denials);
-  EXPECT_EQ(reg.counter("overload.shed_events").value(), s.shed_events);
-  EXPECT_EQ(reg.counter("overload.pages_shed").value(), s.pages_shed);
-  EXPECT_GT(s.pages_shed, 0u);
-  EXPECT_GT(s.pin_denials, 0u);
-  victim.Finish();
-  vip.Finish();
-}
-
 // --- ReplayConcurrent admission / deadlines ------------------------------
 
 QueryTrace MakeTrace(uint32_t object, uint32_t pages) {
@@ -555,22 +528,6 @@ TEST(OverloadStormTest, DifferentSeedsDiverge) {
   const StormOutcome a = RunStorm(1);
   const StormOutcome b = RunStorm(2);
   EXPECT_NE(a.result.end_us, b.result.end_us);
-}
-
-TEST(OverloadStormTest, RegistryMirrorsAdmissionCounters) {
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  reg.ResetAll();
-  const StormOutcome out = RunStorm(0xface);
-  EXPECT_EQ(reg.counter("overload.admission_rejected").value(),
-            out.result.admission.rejected);
-  EXPECT_EQ(reg.counter("overload.deadline_stops").value(),
-            out.result.admission.deadline_stops);
-  EXPECT_EQ(reg.counter("overload.admitted_after_wait").value(),
-            out.result.admission.admitted_after_wait);
-  EXPECT_EQ(reg.counter("overload.pin_grants").value(),
-            out.governor.pin_grants);
-  EXPECT_EQ(reg.counter("overload.rung_degrades").value(),
-            out.governor.rung_degrades);
 }
 
 }  // namespace

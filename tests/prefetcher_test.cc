@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <optional>
-
 #include "core/prefetcher.h"
 #include "util/rng.h"
 
@@ -226,30 +224,29 @@ TEST_F(PrefetcherTest, PinLeakStressRandomInterleavings) {
     if (rng.UniformU32(3) == 0) options.prefetch_timeout_us = 500;
 
     {
-      std::optional<PrefetchSession> session(
-          MakeSession(pages, options));
+      PrefetchSession session = MakeSession(pages, options);
       SimTime now = 0;
       const uint32_t ops = rng.UniformU32(40);
       for (uint32_t op = 0; op < ops; ++op) {
         now += rng.UniformU32(400);
         switch (rng.UniformU32(4)) {
           case 0:
-            session->Pump(now);
+            session.Pump(now);
             break;
           case 1:
-            session->OnFetch(pages[rng.UniformU32(n)], now);
+            session.OnFetch(pages[rng.UniformU32(n)], now);
             break;
           case 2:
-            session->Pump(now);
-            session->OnFetch(pages[rng.UniformU32(n)], now);
+            session.Pump(now);
+            session.OnFetch(pages[rng.UniformU32(n)], now);
             break;
           case 3:
-            if (rng.UniformU32(8) == 0) session->Finish();
+            if (rng.UniformU32(8) == 0) session.Finish();
             break;
         }
       }
       if (rng.UniformU32(2) == 0) {
-        session->Finish();  // explicit finish for half the sessions...
+        session.Finish();  // explicit finish for half the sessions...
       }
     }  // ...RAII for the rest (abandoned mid-query)
     ASSERT_EQ(pool_.pinned_frames(), 0u) << "trial " << trial;

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "core/system.h"
-#include "util/metrics_registry.h"
 
 namespace pythia {
 namespace {
@@ -229,8 +228,6 @@ TEST_F(SystemTest, CachedPlanOnlyServesHitsWithoutInference) {
 }
 
 TEST_F(SystemTest, GovernorRungDegradesAndRecoversRunQuery) {
-  // The registry is process-wide: count this test's degraded queries only.
-  MetricsRegistry::Global().ResetAll();
   // Budget well above what one query's session pins, so only the ballast
   // below (not the query's own speculation) can move the ladder.
   GovernorOptions gopts;
@@ -254,7 +251,6 @@ TEST_F(SystemTest, GovernorRungDegradesAndRecoversRunQuery) {
   EXPECT_TRUE(degraded.degraded_by_governor);
   EXPECT_FALSE(degraded.engaged);
   EXPECT_EQ(degraded.prefetch_stats.issued, 0u);
-  EXPECT_EQ(MetricsRegistry::Global().counter("query.degraded").value(), 1u);
   EXPECT_GT(governor.stats().rung_degrades, 0u);
 
   // Pressure gone: the ladder climbs back (one rung per evaluation) and
@@ -267,7 +263,8 @@ TEST_F(SystemTest, GovernorRungDegradesAndRecoversRunQuery) {
       system_->RunQuery(q, RunMode::kPythia, PrefetcherOptions{});
   ASSERT_TRUE(healthy.status.ok());
   EXPECT_EQ(healthy.rung, DegradationRung::kFullNeural);
-  EXPECT_FALSE(healthy.degraded_by_governor);
+  EXPECT_FALSE(healthy.degraded_by_governor || healthy.degraded_by_breaker ||
+               healthy.degraded_by_watchdog);
   EXPECT_TRUE(healthy.engaged);
 }
 
@@ -308,8 +305,6 @@ TEST_F(SystemTest, GovernedRunQueryStreamRecoversTheLadder) {
 }
 
 TEST_F(SystemTest, ConcurrentPlanRoundTrip) {
-  // The registry is process-wide: count this test's batch only.
-  MetricsRegistry::Global().ResetAll();
   GovernorOptions gopts;
   PrefetchGovernor& governor = system_->EnableGovernor(gopts);
   env_->ColdRestart();
@@ -342,12 +337,13 @@ TEST_F(SystemTest, ConcurrentPlanRoundTrip) {
   EXPECT_EQ(r.admission.admitted_after_wait, 1u);
   EXPECT_EQ(r.admission.rejected, 1u);
   EXPECT_EQ(r.admission.deadline_stops, 3u);
-  uint64_t ok = 0, rejected = 0;
+  uint64_t ok = 0, rejected = 0, waited = 0;
   for (const QueryRunMetrics& m : r.queries) {
     if (m.status.ok()) {
       ++ok;
       EXPECT_TRUE(m.engaged);  // planning-time seed survived the replay
       EXPECT_TRUE(m.deadline_exceeded);
+      if (m.queue_wait_us > 0) ++waited;
     } else {
       ++rejected;
       EXPECT_EQ(m.status.code(), StatusCode::kResourceExhausted);
@@ -355,25 +351,10 @@ TEST_F(SystemTest, ConcurrentPlanRoundTrip) {
   }
   EXPECT_EQ(ok, 3u);
   EXPECT_EQ(rejected, 1u);
+  // Each query carries its own wait; the admitted-after-wait count is theirs.
+  EXPECT_EQ(waited, r.admission.admitted_after_wait);
   EXPECT_EQ(env_->pool().pinned_frames(), 0u);
   EXPECT_EQ(governor.pinned_pages(), 0u);
-
-  // The replay mirrors its admission outcome into the registry.
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  EXPECT_EQ(reg.counter("overload.deadline_stops").value(), 3u);
-  EXPECT_EQ(reg.counter("overload.admission_rejected").value(), 1u);
-}
-
-TEST_F(SystemTest, ServedRungCounterMirrorsRuns) {
-  MetricsRegistry::Global().ResetAll();
-  const WorkloadQuery& q = w91_->queries[w91_->test_indices[0]];
-  const QueryRunMetrics m =
-      system_->RunQuery(q, RunMode::kDefault, PrefetcherOptions{});
-  ASSERT_TRUE(m.status.ok());
-  EXPECT_EQ(MetricsRegistry::Global()
-                .counter("overload.served.full-neural")
-                .value(),
-            1u);
 }
 
 TEST_F(SystemTest, MatchThresholdAdjustable) {
