@@ -16,17 +16,6 @@ inline uint64_t NowNs() {
           .count());
 }
 
-// splitmix64 finalizer: decorrelates the per-shard seeds derived from one
-// pool seed, so shard streams never overlap even for adjacent indices.
-inline uint64_t Mix64(uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return x;
-}
-
 }  // namespace
 
 void AccumulateStats(BufferPoolStats* into, const BufferPoolStats& from) {
@@ -63,20 +52,18 @@ BufferPool::Guard::Guard(const BufferPool* pool, Shard* shard, bool profile)
     shard_->mu.lock();
     wait_ns = NowNs() - wait_start;
   }
-  // Under the lock now: safe to touch the shard's counters and RNG stream.
+  // Under the lock now: safe to touch the shard's counters.
   ++shard_->lock.acquisitions;
   if (contended) {
     ++shard_->lock.contended;
     shard_->lock.wait_ns += wait_ns;
     PYTHIA_TRACE_INSTANT_CTX("bufmgr", "lock.contended", "wait_ns", wait_ns);
   }
-  const double p = pool->options_.lock_hold_sample_prob;
-  hold_sampled_ = p >= 1.0 || shard_->rng.UniformDouble() < p;
-  if (hold_sampled_) hold_start_ns_ = NowNs();
+  hold_start_ns_ = NowNs();
 }
 
 BufferPool::Guard::~Guard() {
-  if (profiled_ && hold_sampled_) {
+  if (profiled_) {
     shard_->lock.hold_ns += NowNs() - hold_start_ns_;
     ++shard_->lock.hold_samples;
   }
@@ -99,8 +86,6 @@ BufferPool::BufferPool(const Options& options, OsPageCache* os_cache,
     shard->free_list.reserve(cap);
     for (size_t i = cap; i > 0; --i) shard->free_list.push_back(i - 1);
     shard->policy = MakeReplacementPolicy(options.policy, cap);
-    shard->rng = Pcg32(Mix64(options_.seed ^ (0x9e3779b97f4a7c15ULL * s)),
-                       0xbfbfULL + s);
     shards_.push_back(std::move(shard));
   }
 }

@@ -25,11 +25,7 @@
 //  - shard assignment is a pure function of the page id, capacity splits
 //    round-robin by shard index, and every aggregate (stats, pressure,
 //    Reset) iterates shards in index order, so a single-threaded sharded
-//    run is bit-identical across reruns at any shard count;
-//  - each shard derives its own Pcg32 stream from the pool seed and its
-//    shard index (used today by sampled lock profiling; any future
-//    stochastic policy must draw from its shard's stream so the sequence a
-//    shard observes never depends on what other shards did).
+//    run is bit-identical across reruns at any shard count.
 //
 // Lock profiling (`Options::profile_locks`): every shard measures wall-clock
 // mutex wait and hold times — `try_lock` first, so the uncontended fast path
@@ -52,7 +48,6 @@
 #include "storage/os_cache.h"
 #include "storage/page_id.h"
 #include "storage/sim_clock.h"
-#include "util/rng.h"
 #include "util/status.h"
 
 namespace pythia {
@@ -108,7 +103,7 @@ struct BufferPoolLockStats {
   uint64_t acquisitions = 0;
   uint64_t contended = 0;    // try_lock failed; the thread had to block
   uint64_t wait_ns = 0;      // total time blocked acquiring shard mutexes
-  uint64_t hold_ns = 0;      // total time shard mutexes were held (sampled)
+  uint64_t hold_ns = 0;      // total time shard mutexes were held
   uint64_t hold_samples = 0; // acquisitions the hold timer actually covered
 };
 
@@ -119,20 +114,13 @@ class BufferPool {
     ReplacementPolicyKind policy = ReplacementPolicyKind::kClock;
     // Lock-striped shards keyed by PageId hash. 1 (the default) is the
     // historical unsharded pool, bit-identical on every seed bench; 0 is
-    // treated as 1. Capacity, page table, frames, free list, policy, stats
-    // and RNG stream are all per-shard.
+    // treated as 1. Capacity, page table, frames, free list, policy and
+    // stats are all per-shard.
     size_t num_shards = 1;
-    // Base seed for the per-shard Pcg32 streams.
-    uint64_t seed = 0x5eedd15c;
     // Wall-clock lock wait/hold instrumentation (see file comment). Off by
     // default: the steady_clock reads are pure overhead for virtual-time
     // replays that never contend.
     bool profile_locks = false;
-    // With profiling on, fraction of acquisitions whose HOLD time is
-    // measured (wait time is always measured when contended — blocking
-    // already paid for the clock read). Each shard draws the sampling
-    // decision from its own seeded stream.
-    double lock_hold_sample_prob = 1.0;
     // Foreground reads retry transient I/O errors under this policy; each
     // failed attempt is charged the random-read device time plus a capped
     // exponential backoff with deterministic jitter, all in virtual time.
@@ -221,12 +209,9 @@ class BufferPool {
     std::unordered_map<PageId, size_t> page_table;
     std::unique_ptr<ReplacementPolicy> policy;
     BufferPoolStats stats;
-    Pcg32 rng;                               // stream = pool seed + index
     // Lock-profile counters; written under `mu` except wait_ns/contended,
     // which the blocked thread accumulates after acquiring it.
     BufferPoolLockStats lock;
-
-    Shard() : rng(0, 0) {}
   };
 
   // Acquires `shard.mu`, recording wait/hold times when profiling is on.
@@ -243,7 +228,6 @@ class BufferPool {
    private:
     Shard* shard_;
     bool profiled_ = false;
-    bool hold_sampled_ = false;
     uint64_t hold_start_ns_ = 0;
   };
 

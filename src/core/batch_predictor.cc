@@ -29,16 +29,7 @@ void BatchPredictor::Submit(uint64_t ticket, const WorkloadQuery& query,
   out.ticket = ticket;
   out.ready_us = now;
   const DegradationRung rung =
-      system_->PlanningRung(query, options_.mode, &out.planned);
-  if (options_.mode != RunMode::kPythia) {
-    // Only the learned mode has transformer inference to batch; other modes
-    // plan immediately through the sequential path.
-    if (rung == DegradationRung::kFullNeural) {
-      out.pages = system_->PrefetchPlan(query, options_.mode, &out.planned);
-    }
-    done->push_back(std::move(out));
-    return;
-  }
+      system_->PlanningRung(query, RunMode::kPythia, &out.planned);
   if (static_cast<int>(rung) >=
       static_cast<int>(DegradationRung::kReadahead)) {
     ++stats_.degraded;
@@ -129,7 +120,7 @@ void BatchPredictor::Flush(SimTime ready_us,
   // under overload. When the governor has degraded to kCachedOnly or below,
   // running the forward pass now would be exactly the work the ladder is
   // trying to shed — drop the whole window instead.
-  if (options_.recheck_rung_at_flush && system_->governor() != nullptr) {
+  if (system_->governor() != nullptr) {
     const DegradationRung rung = system_->governor()->rung();
     if (static_cast<int>(rung) >=
         static_cast<int>(DegradationRung::kCachedOnly)) {

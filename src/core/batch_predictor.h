@@ -64,10 +64,6 @@ struct BatchPredictorOptions {
   // this long, whether or not the size trigger fired. Bounds the latency a
   // request can pay for amortization.
   SimTime flush_deadline_us = 2000;
-  RunMode mode = RunMode::kPythia;
-  // Re-read the governor rung when a window flushes and shed the window if
-  // the ladder moved below full-neural while requests were queued.
-  bool recheck_rung_at_flush = true;
 };
 
 struct BatchPredictorStats {

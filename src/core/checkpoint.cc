@@ -4,11 +4,10 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <type_traits>
 #include <utility>
 
 #include "core/system.h"
-#include "util/crc32.h"
+#include "util/bytes.h"
 #include "util/metrics_registry.h"
 #include "util/trace.h"
 
@@ -19,88 +18,48 @@ namespace {
 constexpr uint32_t kManifestMagic = 0x5059434b;  // "PYCK"
 constexpr uint32_t kManifestVersion = 1;
 
+// Prediction-cache entries captured into a manifest (the most recently used
+// win).
+constexpr size_t kMaxCacheEntries = 256;
+
 // --- Payload serialization ------------------------------------------------
-// Same append/parse style as the model payload in core/predictor.cc: fixed
-// little-endian PODs via memcpy, length-prefixed strings, every read
-// bounds-checked so a truncated buffer parses to an error, never past-end.
+// The byte codec (util/bytes.h) shared with the model payload in
+// core/predictor.cc: fixed host-order PODs, u64-length-prefixed strings,
+// every read bounds-checked and every count checked against the bytes that
+// remain, so a truncated or lying buffer parses to an error, never past-end
+// and never into a huge allocation.
 
-template <typename T>
-void AppendPod(std::string* out, const T& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
+void AppendIdentity(ByteWriter* out, const FileIdentity& id) {
+  out->Pod(static_cast<uint8_t>(id.present ? 1 : 0));
+  out->Pod(id.size);
+  out->Pod(id.crc);
 }
 
-void AppendString(std::string* out, const std::string& s) {
-  AppendPod(out, static_cast<uint64_t>(s.size()));
-  out->append(s);
-}
-
-struct Parser {
-  const char* data = nullptr;
-  size_t size = 0;
-  size_t pos = 0;
-  bool failed = false;
-
-  template <typename T>
-  bool Pod(T* v) {
-    if (failed || size - pos < sizeof(T)) {
-      failed = true;
-      return false;
-    }
-    std::memcpy(v, data + pos, sizeof(T));
-    pos += sizeof(T);
-    return true;
-  }
-
-  bool String(std::string* s) {
-    uint64_t n = 0;
-    if (!Pod(&n) || size - pos < n) {
-      failed = true;
-      return false;
-    }
-    s->assign(data + pos, n);
-    pos += n;
-    return true;
-  }
-};
-
-void AppendIdentity(std::string* out, const FileIdentity& id) {
-  AppendPod(out, static_cast<uint8_t>(id.present ? 1 : 0));
-  AppendPod(out, id.size);
-  AppendPod(out, id.crc);
-}
-
-bool ParseIdentity(Parser* p, FileIdentity* id) {
+bool ParseIdentity(ByteReader* p, FileIdentity* id) {
   uint8_t present = 0;
   if (!p->Pod(&present)) return false;
   id->present = present != 0;
   return p->Pod(&id->size) && p->Pod(&id->crc);
 }
 
-void AppendWatchdog(std::string* out, const WatchdogCheckpointState& w) {
-  AppendPod(out, w.health);
-  AppendPod(out, static_cast<uint64_t>(w.window.size()));
-  for (double r : w.window) AppendPod(out, r);
-  AppendPod(out, w.probation_remaining);
-  AppendPod(out, w.probe_successes);
-  AppendPod(out, w.post_swap_remaining);
-  AppendPod(out, static_cast<uint8_t>(w.post_swap_demoted ? 1 : 0));
-  AppendPod(out, w.stats.demotions);
-  AppendPod(out, w.stats.probes);
-  AppendPod(out, w.stats.reinstatements);
-  AppendPod(out, w.stats.degraded_queries);
-  AppendPod(out, w.stats.sessions_judged);
+void AppendWatchdog(ByteWriter* out, const WatchdogCheckpointState& w) {
+  out->Pod(w.health);
+  out->Pod(static_cast<uint64_t>(w.window.size()));
+  for (double r : w.window) out->Pod(r);
+  out->Pod(w.probation_remaining);
+  out->Pod(w.probe_successes);
+  out->Pod(w.post_swap_remaining);
+  out->Pod(static_cast<uint8_t>(w.post_swap_demoted ? 1 : 0));
+  out->Pod(w.stats.demotions);
+  out->Pod(w.stats.probes);
+  out->Pod(w.stats.reinstatements);
+  out->Pod(w.stats.degraded_queries);
+  out->Pod(w.stats.sessions_judged);
 }
 
-bool ParseWatchdog(Parser* p, WatchdogCheckpointState* w) {
+bool ParseWatchdog(ByteReader* p, WatchdogCheckpointState* w) {
   uint64_t n = 0;
-  if (!p->Pod(&w->health) || !p->Pod(&n)) return false;
-  // A window longer than any configured watchdog keeps is a corrupt length
-  // field, not data; cap before the resize so a bit flip cannot OOM.
-  if (n > 1u << 20) {
-    p->failed = true;
-    return false;
-  }
+  if (!p->Pod(&w->health) || !p->Count(&n, sizeof(double))) return false;
   w->window.resize(n);
   for (double& r : w->window) {
     if (!p->Pod(&r)) return false;
@@ -118,51 +77,52 @@ bool ParseWatchdog(Parser* p, WatchdogCheckpointState* w) {
 }
 
 std::string SerializeManifest(const CheckpointManifest& m) {
-  std::string out;
-  AppendPod(&out, m.generation);
-  AppendPod(&out, static_cast<uint8_t>(m.has_governor ? 1 : 0));
-  AppendPod(&out, m.governor_rung);
-  AppendPod(&out, static_cast<uint64_t>(m.workloads.size()));
+  ByteWriter out;
+  out.Pod(m.generation);
+  out.Pod(static_cast<uint8_t>(m.has_governor ? 1 : 0));
+  out.Pod(m.governor_rung);
+  out.Pod(static_cast<uint64_t>(m.workloads.size()));
   for (const CheckpointWorkloadState& w : m.workloads) {
-    AppendPod(&out, w.revision);
-    AppendPod(&out, w.fingerprint);
-    AppendString(&out, w.model_path);
+    out.Pod(w.revision);
+    out.Pod(w.fingerprint);
+    out.String<uint64_t>(w.model_path);
     AppendIdentity(&out, w.primary);
     AppendIdentity(&out, w.lkg);
     AppendWatchdog(&out, w.watchdog);
-    AppendPod(&out, static_cast<uint8_t>(w.has_adaptation ? 1 : 0));
-    AppendPod(&out, w.adaptation.phase);
-    AppendPod(&out, w.adaptation.window);
-    AppendPod(&out, w.adaptation.fresh);
-    AppendPod(&out, w.adaptation.cooldown_remaining);
-    AppendPod(&out, w.adaptation.rounds);
-    AppendPod(&out, w.adaptation.mean_useful_ratio);
+    out.Pod(static_cast<uint8_t>(w.has_adaptation ? 1 : 0));
+    out.Pod(w.adaptation.phase);
+    out.Pod(w.adaptation.window);
+    out.Pod(w.adaptation.fresh);
+    out.Pod(w.adaptation.cooldown_remaining);
+    out.Pod(w.adaptation.rounds);
+    out.Pod(w.adaptation.mean_useful_ratio);
   }
-  AppendPod(&out, static_cast<uint64_t>(m.cache.size()));
+  out.Pod(static_cast<uint64_t>(m.cache.size()));
   for (const CheckpointCacheEntry& e : m.cache) {
-    AppendPod(&out, e.model_id);
-    AppendPod(&out, e.revision);
-    AppendString(&out, e.plan);
-    AppendPod(&out, static_cast<uint64_t>(e.pages.size()));
-    for (const PageId& page : e.pages) AppendPod(&out, page.Pack());
+    out.Pod(e.model_id);
+    out.Pod(e.revision);
+    out.String<uint64_t>(e.plan);
+    out.Pod(static_cast<uint64_t>(e.pages.size()));
+    for (const PageId& page : e.pages) out.Pod(page.Pack());
   }
-  return out;
+  return out.bytes();
 }
 
 bool ParseManifestPayload(const std::string& payload, CheckpointManifest* m) {
-  Parser p{payload.data(), payload.size(), 0, false};
+  ByteReader p(payload);
   uint8_t flag = 0;
   uint64_t workloads = 0;
+  // Every workload record starts with its u64 revision, every cache entry
+  // with its u64 model id.
   if (!p.Pod(&m->generation) || !p.Pod(&flag) || !p.Pod(&m->governor_rung) ||
-      !p.Pod(&workloads)) {
+      !p.Count(&workloads, sizeof(uint64_t))) {
     return false;
   }
   m->has_governor = flag != 0;
-  if (workloads > 1u << 16) return false;
   m->workloads.resize(workloads);
   for (CheckpointWorkloadState& w : m->workloads) {
     if (!p.Pod(&w.revision) || !p.Pod(&w.fingerprint) ||
-        !p.String(&w.model_path) || !ParseIdentity(&p, &w.primary) ||
+        !p.String<uint64_t>(&w.model_path) || !ParseIdentity(&p, &w.primary) ||
         !ParseIdentity(&p, &w.lkg) || !ParseWatchdog(&p, &w.watchdog) ||
         !p.Pod(&flag)) {
       return false;
@@ -177,12 +137,12 @@ bool ParseManifestPayload(const std::string& payload, CheckpointManifest* m) {
     }
   }
   uint64_t entries = 0;
-  if (!p.Pod(&entries) || entries > 1u << 20) return false;
+  if (!p.Count(&entries, sizeof(uint64_t))) return false;
   m->cache.resize(entries);
   for (CheckpointCacheEntry& e : m->cache) {
     uint64_t pages = 0;
-    if (!p.Pod(&e.model_id) || !p.Pod(&e.revision) || !p.String(&e.plan) ||
-        !p.Pod(&pages) || pages > 1u << 24) {
+    if (!p.Pod(&e.model_id) || !p.Pod(&e.revision) ||
+        !p.String<uint64_t>(&e.plan) || !p.Count(&pages, sizeof(uint64_t))) {
       return false;
     }
     e.pages.resize(pages);
@@ -193,7 +153,7 @@ bool ParseManifestPayload(const std::string& payload, CheckpointManifest* m) {
     }
   }
   // Trailing garbage means the file is not what SaveManifest wrote.
-  return !p.failed && p.pos == p.size;
+  return p.done();
 }
 
 }  // namespace
@@ -247,47 +207,19 @@ std::vector<uint64_t> CheckpointManager::ScanGenerations(
 
 Status CheckpointManager::SaveManifest(const CheckpointManifest& manifest,
                                        const std::string& path) {
-  const std::string payload = SerializeManifest(manifest);
-  std::string file;
-  file.reserve(20 + payload.size());
-  AppendPod(&file, kManifestMagic);
-  AppendPod(&file, kManifestVersion);
-  AppendPod(&file, static_cast<uint64_t>(payload.size()));
-  AppendPod(&file, Crc32(payload.data(), payload.size()));
-  file.append(payload);
   AtomicWriteSites sites;
   sites.mid_payload = kCrashMidManifest;
-  return WriteFileAtomic(path, file.data(), file.size(), sites);
+  return WriteFramedFile(path, kManifestMagic, kManifestVersion,
+                         SerializeManifest(manifest), sites);
 }
 
 Result<CheckpointManifest> CheckpointManager::LoadManifest(
     const std::string& path) {
-  Result<std::string> bytes = ReadFileBytes(path);
-  if (!bytes.ok()) return bytes.status();
-  const std::string& file = bytes.value();
-  Parser header{file.data(), file.size(), 0, false};
-  uint32_t magic = 0, version = 0, crc = 0;
-  uint64_t payload_size = 0;
-  if (!header.Pod(&magic) || magic != kManifestMagic) {
-    return Status::DataCorruption("bad manifest magic: " + path);
-  }
-  if (!header.Pod(&version)) {
-    return Status::DataCorruption("truncated manifest header: " + path);
-  }
-  if (version != kManifestVersion) {
-    return Status::FailedPrecondition("manifest format version mismatch: " +
-                                      path);
-  }
-  if (!header.Pod(&payload_size) || !header.Pod(&crc) ||
-      file.size() - header.pos != payload_size) {
-    return Status::DataCorruption("manifest payload size mismatch: " + path);
-  }
-  const std::string payload = file.substr(header.pos);
-  if (Crc32(payload.data(), payload.size()) != crc) {
-    return Status::DataCorruption("manifest CRC mismatch: " + path);
-  }
+  Result<std::string> payload =
+      ReadFramedFile(path, kManifestMagic, kManifestVersion);
+  if (!payload.ok()) return payload.status();
   CheckpointManifest manifest;
-  if (!ParseManifestPayload(payload, &manifest)) {
+  if (!ParseManifestPayload(payload.value(), &manifest)) {
     return Status::DataCorruption("unparseable manifest payload: " + path);
   }
   return manifest;
@@ -312,26 +244,24 @@ Status CheckpointManager::Checkpoint(
     w.revision = system.model(i).revision();
     w.fingerprint = system.model(i).fingerprint();
     w.model_path = model_paths[i];
-    if (options_.save_models) {
-      Status s = system.model(i).Save(w.model_path);
-      if (!s.ok()) {
-        reg.counter("recovery.checkpoint_failures").Increment();
-        return s;
-      }
-      // The window a kill would land in between the primary's rename and
-      // the sidecar copy: the manifest from generation N-1 then describes
-      // an older primary than the one on disk.
-      if (crash.Check(kCrashPostRenamePreSidecar)) {
-        reg.counter("recovery.checkpoint_failures").Increment();
-        return Status::Aborted(
-            "simulated crash between model publish and lkg sidecar: " +
-            w.model_path);
-      }
-      s = CopyFileAtomic(w.model_path, w.model_path + ".lkg");
-      if (!s.ok()) {
-        reg.counter("recovery.checkpoint_failures").Increment();
-        return s;
-      }
+    Status s = system.model(i).Save(w.model_path);
+    if (!s.ok()) {
+      reg.counter("recovery.checkpoint_failures").Increment();
+      return s;
+    }
+    // The window a kill would land in between the primary's rename and the
+    // sidecar copy: the manifest from generation N-1 then describes an older
+    // primary than the one on disk.
+    if (crash.Check(kCrashPostRenamePreSidecar)) {
+      reg.counter("recovery.checkpoint_failures").Increment();
+      return Status::Aborted(
+          "simulated crash between model publish and lkg sidecar: " +
+          w.model_path);
+    }
+    s = CopyFileAtomic(w.model_path, w.model_path + ".lkg");
+    if (!s.ok()) {
+      reg.counter("recovery.checkpoint_failures").Increment();
+      return s;
     }
     w.primary = FileIdentityOf(w.model_path);
     w.lkg = FileIdentityOf(w.model_path + ".lkg");
@@ -343,17 +273,15 @@ Status CheckpointManager::Checkpoint(
     manifest.workloads.push_back(std::move(w));
   }
 
-  if (options_.max_cache_entries > 0) {
-    auto entries = system.prediction_cache().SnapshotEntries();  // LRU -> MRU
-    const size_t keep = std::min(entries.size(), options_.max_cache_entries);
-    for (size_t i = entries.size() - keep; i < entries.size(); ++i) {
-      CheckpointCacheEntry e;
-      e.model_id = entries[i].first.model_id;
-      e.revision = entries[i].first.revision;
-      e.plan = std::move(entries[i].first.plan);
-      e.pages = std::move(entries[i].second);
-      manifest.cache.push_back(std::move(e));
-    }
+  auto entries = system.prediction_cache().SnapshotEntries();  // LRU -> MRU
+  const size_t keep = std::min(entries.size(), kMaxCacheEntries);
+  for (size_t i = entries.size() - keep; i < entries.size(); ++i) {
+    CheckpointCacheEntry e;
+    e.model_id = entries[i].first.model_id;
+    e.revision = entries[i].first.revision;
+    e.plan = std::move(entries[i].first.plan);
+    e.pages = std::move(entries[i].second);
+    manifest.cache.push_back(std::move(e));
   }
 
   Status s =

@@ -11,9 +11,11 @@
 // ever be trusted across runs.
 //
 // The checkpoint manifest fixes that. It is a single versioned, CRC-stamped
-// file (same magic/version/size/crc framing the model cache uses) written
-// through the one durable gateway (storage/durable.h: serialize to memory,
-// .tmp, fsync, rename), holding per generation:
+// file in the durable frame every model file also uses (storage/durable.h:
+// WriteFramedFile publishes it through the one atomic gateway — serialize
+// to memory, .tmp, fsync, rename — and ReadFramedFile verifies it), with
+// its payload written and parsed by the bounds-checked byte codec
+// (util/bytes.h). It holds, per generation:
 //
 //  - per workload: the served model revision, its training fingerprint, the
 //    model cache path and the byte identity (size + CRC) of the primary and
@@ -25,8 +27,8 @@
 //  - the adaptation state-machine summary per workload (phase, cooldown,
 //    round counters — not the raw trace window, which re-accrues);
 //  - the governor's degradation rung;
-//  - a bounded snapshot of the prediction cache (MRU entries first dropped
-//    last), revalidated against model revisions at restore time.
+//  - a snapshot of the prediction cache's 256 most recently used entries,
+//    revalidated against model revisions at restore time.
 //
 // Generations are monotonic: manifest-<gen>.pyck, the highest valid
 // generation wins, older ones are pruned to `keep_generations`. A crash at
@@ -58,13 +60,6 @@ struct CheckpointOptions {
   // newest is the recovery primary, older ones are fallbacks for a torn or
   // bit-rotted newest.
   size_t keep_generations = 2;
-  // Prediction-cache entries captured into the manifest (the most recently
-  // used win). 0 disables the warm-cache snapshot.
-  size_t max_cache_entries = 256;
-  // When false, Checkpoint() assumes the model files at model_paths are
-  // already current and only records their identities (used by tests that
-  // stage model files themselves).
-  bool save_models = true;
 };
 
 // Per-workload record in the manifest.
@@ -103,8 +98,8 @@ class CheckpointManager {
   CheckpointManager(std::string dir, const CheckpointOptions& options);
 
   // Captures `system` into generation latest_generation()+1. model_paths[i]
-  // is workload i's primary cache path; with save_models the live model is
-  // Save()d there and mirrored to the .lkg sidecar first (crash sites
+  // is workload i's primary cache path; the live model is Save()d there and
+  // mirrored to the .lkg sidecar first (crash sites
   // pre_tmp_write / mid_payload / pre_rename fire inside the save,
   // post_rename_pre_sidecar between the publish and the sidecar copy,
   // mid_manifest inside the manifest write). Any Aborted status propagates

@@ -8,6 +8,14 @@
 
 namespace pythia {
 
+namespace {
+
+// Per-channel I/O backlog (virtual µs of queued work) that counts as AIO
+// pressure 1.0 on its own.
+constexpr double kAioBacklogFullUs = 50000.0;
+
+}  // namespace
+
 const char* DegradationRungName(DegradationRung rung) {
   switch (rung) {
     case DegradationRung::kFullNeural: return "full-neural";
@@ -137,8 +145,8 @@ double PrefetchGovernor::PoolPressure(SimTime now) const {
 double PrefetchGovernor::AioPressure(SimTime now) {
   const double count = static_cast<double>(outstanding_aio(now)) /
                        static_cast<double>(max_aio_);
-  const double full = static_cast<double>(io_->num_channels()) *
-                      static_cast<double>(options_.aio_backlog_full_us);
+  const double full =
+      static_cast<double>(io_->num_channels()) * kAioBacklogFullUs;
   const double backlog =
       full <= 0.0 ? 0.0
                   : static_cast<double>(io_->QueueBacklogUs(now)) / full;

@@ -64,9 +64,6 @@ struct GovernorOptions {
   // Recovery margin: stepping one rung back toward full service requires
   // pressure < (that rung's threshold - hysteresis).
   double hysteresis = 0.10;
-  // Per-channel I/O backlog (virtual µs of queued work) that counts as AIO
-  // pressure 1.0 on its own.
-  SimTime aio_backlog_full_us = 50000;
   // Ladder rung at (and past) which hedged reads are suppressed. A hedge
   // doubles the device work of the read it covers, which is the wrong trade
   // under systemic overload: the tail is then queueing, not a gray channel,

@@ -2,6 +2,16 @@
 
 namespace pythia {
 
+double MinWeightFloats(const PythiaModelConfig& config) {
+  const double embed = static_cast<double>(config.embed_dim);
+  const double hidden = static_cast<double>(config.decoder_hidden);
+  return static_cast<double>(config.vocab_size) * embed +
+         static_cast<double>(config.num_layers) *
+             (4 * embed * embed +
+              2 * embed * static_cast<double>(config.ffn_dim)) +
+         embed * hidden + hidden * static_cast<double>(config.num_outputs);
+}
+
 PythiaModel::PythiaModel(const PythiaModelConfig& config)
     : config_(config),
       rng_(config.seed, /*stream=*/0x9e1),

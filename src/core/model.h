@@ -35,6 +35,14 @@ struct PythiaModelConfig {
   uint64_t seed = 99;
 };
 
+// Floats in the weight matrices a model of `config` holds: the embedding
+// table, each encoder layer's four attention projections and two FFN
+// matrices, and the two decoder matrices. Biases and norms only add to the
+// parameter count, so this is a lower bound; a loader checks it against the
+// bytes a file backs before it allocates a model. Computed in double, so no
+// dimension read from a file can wrap it.
+double MinWeightFloats(const PythiaModelConfig& config);
+
 class PythiaModel {
  public:
   explicit PythiaModel(const PythiaModelConfig& config);

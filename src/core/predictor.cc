@@ -3,14 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <numeric>
 
 #include "nn/optimizer.h"
 #include "nn/serialize.h"
 #include "storage/durable.h"
-#include "util/crc32.h"
 #include "util/hash.h"
 #include "util/metrics.h"
 #include "util/metrics_registry.h"
@@ -32,6 +31,59 @@ ObjectId BaseObjectOf(const Database& db, ObjectId object) {
     }
   }
   return object;
+}
+
+// Per-sample positive output indices for a unit whose output index i
+// predicts page outputs[i].
+std::vector<std::vector<uint32_t>> Positives(
+    const std::vector<PageId>& outputs,
+    const std::vector<ObjectPageSets>& labels) {
+  std::unordered_map<PageId, uint32_t> to_output;
+  to_output.reserve(outputs.size());
+  for (uint32_t i = 0; i < outputs.size(); ++i) {
+    to_output[outputs[i]] = i;
+  }
+  std::vector<std::vector<uint32_t>> positives(labels.size());
+  for (size_t i = 0; i < labels.size(); ++i) {
+    for (const auto& [object, pages] : labels[i]) {
+      for (uint32_t p : pages) {
+        auto it = to_output.find(PageId{object, p});
+        if (it != to_output.end()) positives[i].push_back(it->second);
+      }
+    }
+  }
+  return positives;
+}
+
+// `epochs` shuffled passes over the samples, stepping the optimizer once per
+// `batch_size`-sample minibatch (and once more for a short tail). Returns
+// the last epoch's mean loss.
+double TrainEpochs(PythiaModel* model, nn::Adam* optimizer, Pcg32* rng,
+                   const std::vector<std::vector<int32_t>>& encoded,
+                   const std::vector<std::vector<uint32_t>>& positives,
+                   int epochs, size_t batch_size, double grad_clip) {
+  std::vector<size_t> order(encoded.size());
+  std::iota(order.begin(), order.end(), 0u);
+  const size_t batch = std::max<size_t>(1, batch_size);
+  double last_epoch_loss = 0.0;
+  for (int epoch = 0; epoch < epochs; ++epoch) {
+    rng->Shuffle(&order);
+    double epoch_loss = 0.0;
+    size_t in_batch = 0;
+    const auto step = [&] {
+      optimizer->ScaleGrads(1.0f / in_batch);
+      optimizer->ClipGradNorm(grad_clip);
+      optimizer->Step();
+      in_batch = 0;
+    };
+    for (size_t i : order) {
+      epoch_loss += model->TrainStep(encoded[i], positives[i]);
+      if (++in_batch == batch) step();
+    }
+    if (in_batch > 0) step();
+    last_epoch_loss = epoch_loss / order.size();
+  }
+  return last_epoch_loss;
 }
 
 // Registry-backed integrity counters: model files are saved/loaded from
@@ -171,69 +223,18 @@ Result<WorkloadModel> WorkloadModel::Train(const Database& db,
   wm.units_.resize(unit_outputs.size());
   std::vector<double> final_losses(unit_outputs.size(), 0.0);
   auto train_unit = [&](size_t u) {
-    const std::vector<PageId>& outputs = unit_outputs[u];
-
-    // Per-query positive output indices for this unit.
-    std::unordered_map<PageId, uint32_t> to_output;
-    to_output.reserve(outputs.size());
-    for (uint32_t i = 0; i < outputs.size(); ++i) {
-      to_output[outputs[i]] = i;
-    }
-    std::vector<std::vector<uint32_t>> positives(train.size());
-    for (size_t i = 0; i < train.size(); ++i) {
-      for (const auto& [object, pages] : labels[i]) {
-        for (uint32_t p : pages) {
-          auto it = to_output.find(PageId{object, p});
-          if (it != to_output.end()) positives[i].push_back(it->second);
-        }
-      }
-    }
-
-    PythiaModelConfig config;
-    config.vocab_size = wm.vocab_.size();
-    config.num_outputs = outputs.size();
-    config.embed_dim = options.embed_dim;
-    config.num_heads = options.num_heads;
-    config.ffn_dim = options.ffn_dim;
-    config.num_layers = options.num_layers;
-    config.decoder_hidden = options.decoder_hidden;
-    config.pos_weight = options.pos_weight;
-    config.seed = options.seed + 31 * u;
-
     Unit& unit = wm.units_[u];
-    unit.model = std::make_unique<PythiaModel>(config);
-    unit.output_pages = outputs;
-
+    unit.output_pages = unit_outputs[u];
+    unit.model = std::make_unique<PythiaModel>(
+        wm.UnitConfig(unit.output_pages.size(), u));
     nn::Adam::Options adam;
     adam.lr = options.lr;
     nn::Adam optimizer(unit.model->Params(), adam);
-
     Pcg32 rng(options.seed + 1000 + u, /*stream=*/0x7a1);
-    std::vector<size_t> order(train.size());
-    std::iota(order.begin(), order.end(), 0u);
-    const size_t batch = std::max<size_t>(1, options.batch_size);
-    double last_epoch_loss = 0.0;
-    for (int epoch = 0; epoch < options.epochs; ++epoch) {
-      rng.Shuffle(&order);
-      double epoch_loss = 0.0;
-      size_t in_batch = 0;
-      for (size_t i : order) {
-        epoch_loss += unit.model->TrainStep(encoded[i], positives[i]);
-        if (++in_batch == batch) {
-          optimizer.ScaleGrads(1.0f / in_batch);
-          optimizer.ClipGradNorm(options.grad_clip);
-          optimizer.Step();
-          in_batch = 0;
-        }
-      }
-      if (in_batch > 0) {
-        optimizer.ScaleGrads(1.0f / in_batch);
-        optimizer.ClipGradNorm(options.grad_clip);
-        optimizer.Step();
-      }
-      last_epoch_loss = epoch_loss / order.size();
-    }
-    final_losses[u] = last_epoch_loss;
+    final_losses[u] = TrainEpochs(
+        unit.model.get(), &optimizer, &rng, encoded,
+        Positives(unit.output_pages, labels), options.epochs,
+        options.batch_size, options.grad_clip);
   };
   ThreadPool::Global().ParallelFor(0, unit_outputs.size(), train_unit,
                                    options.num_threads);
@@ -275,6 +276,21 @@ WorkloadModel WorkloadModel::Clone() {
   return copy;
 }
 
+PythiaModelConfig WorkloadModel::UnitConfig(size_t num_outputs,
+                                            size_t unit) const {
+  PythiaModelConfig config;
+  config.vocab_size = vocab_.size();
+  config.num_outputs = num_outputs;
+  config.embed_dim = options_.embed_dim;
+  config.num_heads = options_.num_heads;
+  config.ffn_dim = options_.ffn_dim;
+  config.num_layers = options_.num_layers;
+  config.decoder_hidden = options_.decoder_hidden;
+  config.pos_weight = options_.pos_weight;
+  config.seed = options_.seed + 31 * unit;
+  return config;
+}
+
 IncrementalTrainReport WorkloadModel::IncrementalTrain(
     const std::vector<IncrementalSample>& samples,
     const IncrementalTrainOptions& options) {
@@ -299,7 +315,7 @@ IncrementalTrainReport WorkloadModel::IncrementalTrain(
   }
   report.new_tokens = vocab_.size() - old_vocab;
   report.grew_vocab = report.new_tokens > 0;
-  report.optimizer_reset = options.reset_optimizer_state || report.grew_vocab;
+  report.optimizer_reset = report.grew_vocab;
 
   // Encode inputs and derive labels once, shared read-only by all units.
   std::vector<std::vector<int32_t>> encoded(samples.size());
@@ -313,22 +329,6 @@ IncrementalTrainReport WorkloadModel::IncrementalTrain(
   auto train_unit = [&](size_t u) {
     Unit& unit = units_[u];
     if (report.grew_vocab) unit.model->GrowVocab(vocab_.size());
-
-    std::unordered_map<PageId, uint32_t> to_output;
-    to_output.reserve(unit.output_pages.size());
-    for (uint32_t i = 0; i < unit.output_pages.size(); ++i) {
-      to_output[unit.output_pages[i]] = i;
-    }
-    std::vector<std::vector<uint32_t>> positives(samples.size());
-    for (size_t i = 0; i < samples.size(); ++i) {
-      for (const auto& [object, pages] : labels[i]) {
-        for (uint32_t p : pages) {
-          auto it = to_output.find(PageId{object, p});
-          if (it != to_output.end()) positives[i].push_back(it->second);
-        }
-      }
-    }
-
     if (unit.incremental_opt == nullptr) {
       nn::Adam::Options adam;
       adam.lr = options.lr;
@@ -337,38 +337,14 @@ IncrementalTrainReport WorkloadModel::IncrementalTrain(
     } else {
       unit.incremental_opt->set_lr(options.lr);
       // Vocabulary growth reshaped the embedding parameter, so stale Adam
-      // moments no longer line up — a reset is mandatory then, optional
-      // (policy) otherwise.
+      // moments no longer line up.
       if (report.optimizer_reset) unit.incremental_opt->ResetState();
     }
-    nn::Adam& optimizer = *unit.incremental_opt;
-
     Pcg32 rng(options.seed + 1000 + u, /*stream=*/0x7a2);
-    std::vector<size_t> order(samples.size());
-    std::iota(order.begin(), order.end(), 0u);
-    const size_t batch = std::max<size_t>(1, options_.batch_size);
-    double last_epoch_loss = 0.0;
-    for (int epoch = 0; epoch < options.epochs; ++epoch) {
-      rng.Shuffle(&order);
-      double epoch_loss = 0.0;
-      size_t in_batch = 0;
-      for (size_t i : order) {
-        epoch_loss += unit.model->TrainStep(encoded[i], positives[i]);
-        if (++in_batch == batch) {
-          optimizer.ScaleGrads(1.0f / in_batch);
-          optimizer.ClipGradNorm(options_.grad_clip);
-          optimizer.Step();
-          in_batch = 0;
-        }
-      }
-      if (in_batch > 0) {
-        optimizer.ScaleGrads(1.0f / in_batch);
-        optimizer.ClipGradNorm(options_.grad_clip);
-        optimizer.Step();
-      }
-      last_epoch_loss = epoch_loss / order.size();
-    }
-    final_losses[u] = last_epoch_loss;
+    final_losses[u] = TrainEpochs(
+        unit.model.get(), unit.incremental_opt.get(), &rng, encoded,
+        Positives(unit.output_pages, labels), options.epochs,
+        options_.batch_size, options_.grad_clip);
   };
   ThreadPool::Global().ParallelFor(0, units_.size(), train_unit,
                                    options_.num_threads);
@@ -486,54 +462,12 @@ namespace {
 constexpr uint32_t kModelMagic = 0x5059574d;  // "PYWM"
 // Version 2: GEMM kernels were rewritten (blocked/FMA); numerics differ
 // slightly from version-1 checkpoints, so old caches must retrain.
-// Version 3: integrity framing — the file is [magic, version, payload size,
-// payload CRC-32][payload], written atomically (temp file + rename). A load
-// that fails CRC or parse verification quarantines the file to
-// <path>.corrupt and the caller retrains.
+// Version 3: integrity framing — the file is the durable frame
+// (storage/durable.h: magic, version, payload size, payload CRC-32), written
+// atomically (temp file + rename). A load that fails CRC or parse
+// verification quarantines the file to <path>.corrupt and the caller
+// retrains.
 constexpr uint32_t kModelVersion = 3;
-
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f != nullptr) std::fclose(f);
-  }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
-
-// Moves a file that failed integrity verification out of the cache lookup
-// path so the next GetOrTrainWorkloadModel retrains instead of tripping on
-// it again; the quarantined copy stays on disk for postmortems.
-void QuarantineModelFile(const std::string& path) {
-  const std::string quarantine = path + ".corrupt";
-  std::remove(quarantine.c_str());
-  if (std::rename(path.c_str(), quarantine.c_str()) == 0) {
-    IntegrityCounter("model.quarantined").Increment();
-    PYTHIA_TRACE_INSTANT_CTX("model", "quarantine");
-    std::fprintf(stderr, "warning: quarantined corrupt model file %s -> %s\n",
-                 path.c_str(), quarantine.c_str());
-  }
-}
-
-template <typename T>
-bool WritePod(std::FILE* f, const T& v) {
-  return std::fwrite(&v, sizeof(v), 1, f) == 1;
-}
-
-template <typename T>
-bool ReadPod(std::FILE* f, T* v) {
-  return std::fread(v, sizeof(*v), 1, f) == 1;
-}
-
-bool WriteString(std::FILE* f, const std::string& s) {
-  const uint32_t len = static_cast<uint32_t>(s.size());
-  return WritePod(f, len) && std::fwrite(s.data(), 1, len, f) == len;
-}
-
-bool ReadString(std::FILE* f, std::string* s) {
-  uint32_t len = 0;
-  if (!ReadPod(f, &len)) return false;
-  s->resize(len);
-  return std::fread(s->data(), 1, len, f) == len;
-}
 
 }  // namespace
 
@@ -567,304 +501,175 @@ uint64_t WorkloadModel::Fingerprint(const PredictorOptions& options,
   return h;
 }
 
-Status WorkloadModel::WritePayload(std::FILE* f) {
-  bool ok = WritePod(f, fingerprint_) &&
-            WritePod(f, static_cast<uint32_t>(template_id_));
+void WorkloadModel::WritePayload(ByteWriter* w) {
+  w->Pod(fingerprint_);
+  w->Pod(static_cast<uint32_t>(template_id_));
   // Architecture/config needed to rebuild units.
-  ok = ok && WritePod(f, options_.embed_dim) &&
-       WritePod(f, options_.num_heads) &&
-       WritePod(f, options_.ffn_dim) &&
-       WritePod(f, options_.num_layers) &&
-       WritePod(f, options_.decoder_hidden) &&
-       WritePod(f, options_.pos_weight) &&
-       WritePod(f, options_.threshold) &&
-       WritePod(f, options_.seed) &&
-       WritePod(f, static_cast<uint32_t>(options_.removal));
+  w->Pod(options_.embed_dim);
+  w->Pod(options_.num_heads);
+  w->Pod(options_.ffn_dim);
+  w->Pod(options_.num_layers);
+  w->Pod(options_.decoder_hidden);
+  w->Pod(options_.pos_weight);
+  w->Pod(options_.threshold);
+  w->Pod(options_.seed);
+  w->Pod(static_cast<uint32_t>(options_.removal));
   // Report.
-  ok = ok && WritePod(f, report_.train_seconds) &&
-       WritePod(f, static_cast<uint64_t>(report_.num_models)) &&
-       WritePod(f, static_cast<uint64_t>(report_.total_parameters)) &&
-       WritePod(f, report_.mean_final_loss);
-  if (!ok) return Status::IoError("payload write failed");
+  w->Pod(report_.train_seconds);
+  w->Pod(static_cast<uint64_t>(report_.num_models));
+  w->Pod(static_cast<uint64_t>(report_.total_parameters));
+  w->Pod(report_.mean_final_loss);
 
   // Modeled objects.
-  if (!WritePod(f, static_cast<uint32_t>(modeled_objects_.size()))) {
-    return Status::IoError("payload write failed");
-  }
-  for (ObjectId o : modeled_objects_) {
-    if (!WritePod(f, o)) return Status::IoError("payload write failed");
-  }
+  w->Pod(static_cast<uint32_t>(modeled_objects_.size()));
+  for (ObjectId o : modeled_objects_) w->Pod(o);
 
   // Vocabulary in id order.
-  if (!WritePod(f, static_cast<uint32_t>(vocab_.size()))) {
-    return Status::IoError("payload write failed");
-  }
+  w->Pod(static_cast<uint32_t>(vocab_.size()));
   for (size_t i = 0; i < vocab_.size(); ++i) {
-    if (!WriteString(f, vocab_.Token(static_cast<int32_t>(i)))) {
-      return Status::IoError("payload write failed");
-    }
+    w->String<uint32_t>(vocab_.Token(static_cast<int32_t>(i)));
   }
 
   // Profiles.
-  auto write_set = [&](const std::unordered_set<std::string>& set) {
-    if (!WritePod(f, static_cast<uint32_t>(set.size()))) return false;
-    for (const std::string& s : set) {
-      if (!WriteString(f, s)) return false;
-    }
-    return true;
-  };
-  if (!write_set(token_profile_) || !write_set(structure_profile_)) {
-    return Status::IoError("payload write failed");
+  for (const auto* set : {&token_profile_, &structure_profile_}) {
+    w->Pod(static_cast<uint32_t>(set->size()));
+    for (const std::string& s : *set) w->String<uint32_t>(s);
   }
 
   // Units.
-  if (!WritePod(f, static_cast<uint32_t>(units_.size()))) {
-    return Status::IoError("payload write failed");
+  w->Pod(static_cast<uint32_t>(units_.size()));
+  for (Unit& unit : units_) {
+    w->Pod(static_cast<uint32_t>(unit.output_pages.size()));
+    for (const PageId& p : unit.output_pages) w->Pod(p.Pack());
+    nn::WriteParams(w, unit.model->Params());
   }
-  for (size_t u = 0; u < units_.size(); ++u) {
-    Unit& unit = units_[u];
-    if (!WritePod(f, static_cast<uint32_t>(unit.output_pages.size()))) {
-      return Status::IoError("payload write failed");
-    }
-    for (const PageId& p : unit.output_pages) {
-      const uint64_t packed = p.Pack();
-      if (!WritePod(f, packed)) return Status::IoError("payload write failed");
-    }
-    Status s = nn::WriteParams(f, unit.model->Params());
-    if (!s.ok()) return s;
-  }
-  return Status::OK();
 }
 
 Status WorkloadModel::Save(const std::string& path) {
-  // Serialize the payload into memory first: the header needs its size and
-  // CRC-32, and a memory buffer means the file publishes in one pass.
-  char* buf = nullptr;
-  size_t len = 0;
-  std::FILE* mem = open_memstream(&buf, &len);
-  if (mem == nullptr) {
-    IntegrityCounter("model.failed_saves").Increment();
-    return Status::Internal("open_memstream failed");
-  }
-  Status payload_status = WritePayload(mem);
-  std::fclose(mem);  // flushes buf/len
-  std::unique_ptr<char, decltype(&std::free)> owned(buf, &std::free);
-  if (!payload_status.ok()) {
-    IntegrityCounter("model.failed_saves").Increment();
-    return payload_status;
-  }
-
-  // Header + payload in one buffer, published through the durable-write
-  // gateway (storage/durable.h): tmp write -> fsync -> rename, with the
-  // crash-point windows named so a kill sweep can land in each of them. A
-  // crash or torn write leaves either the old file or a .tmp that no loader
-  // ever opens — never a half-written .pywm.
-  std::string file;
-  file.reserve(sizeof(uint32_t) * 3 + sizeof(uint64_t) + len);
-  auto append_pod = [&file](const auto& v) {
-    file.append(reinterpret_cast<const char*>(&v), sizeof(v));
-  };
-  const uint64_t payload_size = len;
-  const uint32_t payload_crc = Crc32(buf, len);
-  append_pod(kModelMagic);
-  append_pod(kModelVersion);
-  append_pod(payload_size);
-  append_pod(payload_crc);
-  if (len > 0) file.append(buf, len);
-
+  // Published through the durable-write gateway (storage/durable.h): tmp
+  // write -> fsync -> rename, with the crash-point windows named so a kill
+  // sweep can land in each of them. A crash or torn write leaves either the
+  // old file or a .tmp that no loader ever opens — never a half-written
+  // .pywm.
+  ByteWriter payload;
+  WritePayload(&payload);
   AtomicWriteSites sites;
   sites.pre_tmp = kCrashPreTmpWrite;
   sites.mid_payload = kCrashMidPayload;
   sites.pre_rename = kCrashPreRename;
-  Status s = WriteFileAtomic(path, file.data(), file.size(), sites);
-  if (!s.ok()) {
-    IntegrityCounter("model.failed_saves").Increment();
-    return s;
-  }
-  IntegrityCounter("model.atomic_saves").Increment();
-  return Status::OK();
+  Status s = WriteFramedFile(path, kModelMagic, kModelVersion,
+                             payload.bytes(), sites);
+  IntegrityCounter(s.ok() ? "model.atomic_saves" : "model.failed_saves")
+      .Increment();
+  return s;
 }
 
 Result<WorkloadModel> WorkloadModel::Load(const std::string& path) {
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (!f) return Status::NotFound("no cached model at: " + path);
-
-  uint32_t magic = 0;
-  if (!ReadPod(f.get(), &magic) || magic != kModelMagic) {
-    f.reset();
-    IntegrityCounter("model.corrupt_files").Increment();
-    QuarantineModelFile(path);
-    return Status::DataCorruption("bad magic in model file: " + path);
-  }
-  // A file truncated inside the version field is corruption (quarantine),
-  // not a stale cache — only a fully readable, different version is treated
-  // as a clean mismatch the caller may retrain over without quarantining.
-  uint32_t version = 0;
-  if (!ReadPod(f.get(), &version)) {
-    f.reset();
-    IntegrityCounter("model.corrupt_files").Increment();
-    QuarantineModelFile(path);
-    return Status::DataCorruption("truncated model header: " + path);
-  }
-  if (version != kModelVersion) {
-    IntegrityCounter("model.version_mismatches").Increment();
-    return Status::FailedPrecondition("model cache version mismatch: " + path);
-  }
-
-  uint64_t payload_size = 0;
-  uint32_t payload_crc = 0;
-  bool ok = ReadPod(f.get(), &payload_size) && ReadPod(f.get(), &payload_crc);
-  // Validate the declared size against the actual file size before
-  // allocating: a bit-flipped length field must not drive a huge resize,
-  // and truncation or trailing garbage are both corruption.
-  if (ok) {
-    const long payload_start = std::ftell(f.get());
-    ok = payload_start >= 0 && std::fseek(f.get(), 0, SEEK_END) == 0;
-    if (ok) {
-      const long file_size = std::ftell(f.get());
-      ok = file_size >= payload_start &&
-           static_cast<uint64_t>(file_size - payload_start) == payload_size &&
-           std::fseek(f.get(), payload_start, SEEK_SET) == 0;
+  Result<std::string> payload =
+      ReadFramedFile(path, kModelMagic, kModelVersion);
+  Status status = payload.status();
+  if (payload.ok()) {
+    ByteReader reader(payload.value());
+    Result<WorkloadModel> wm = ParsePayload(&reader);
+    if (wm.ok()) {
+      IntegrityCounter("model.loads_ok").Increment();
+      return wm;
     }
+    status = Status::DataCorruption("model payload unparseable: " + path +
+                                    ": " + wm.status().message());
   }
-  std::string payload;
-  if (ok && payload_size > 0) {
-    payload.resize(payload_size);
-    ok = std::fread(payload.data(), 1, payload.size(), f.get()) ==
-         payload.size();
+  if (status.code() == StatusCode::kNotFound) return status;
+  if (status.code() == StatusCode::kFailedPrecondition) {
+    IntegrityCounter("model.version_mismatches").Increment();
+    return status;
   }
-  if (ok) ok = Crc32(payload.data(), payload.size()) == payload_crc;
-  f.reset();
-  if (!ok) {
-    IntegrityCounter("model.corrupt_files").Increment();
-    QuarantineModelFile(path);
-    return Status::DataCorruption("model file failed CRC verification: " +
-                                  path);
+  IntegrityCounter("model.corrupt_files").Increment();
+  if (QuarantineFile(path)) {
+    IntegrityCounter("model.quarantined").Increment();
+    PYTHIA_TRACE_INSTANT_CTX("model", "quarantine");
   }
-
-  // The buffer is verified; parse it through the same FILE* readers.
-  std::FILE* pf = fmemopen(payload.data(), payload.size(), "rb");
-  if (pf == nullptr) {
-    IntegrityCounter("model.corrupt_files").Increment();
-    QuarantineModelFile(path);
-    return Status::DataCorruption("empty model payload: " + path);
-  }
-  Result<WorkloadModel> wm = ParsePayload(pf, path);
-  std::fclose(pf);
-  if (!wm.ok()) {
-    IntegrityCounter("model.corrupt_files").Increment();
-    QuarantineModelFile(path);
-    return Status::DataCorruption("model payload unparseable: " + path + ": " +
-                                  wm.status().message());
-  }
-  IntegrityCounter("model.loads_ok").Increment();
-  return wm;
+  return Status::DataCorruption(status.message());
 }
 
-Result<WorkloadModel> WorkloadModel::ParsePayload(std::FILE* f,
-                                                  const std::string& path) {
-  uint32_t template_id = 0, removal = 0;
+Result<WorkloadModel> WorkloadModel::ParsePayload(ByteReader* r) {
+  const Status corrupt = Status::DataCorruption("truncated or lying field");
   WorkloadModel wm;
-  bool ok = ReadPod(f, &wm.fingerprint_) &&
-            ReadPod(f, &template_id);
-  ok = ok && ReadPod(f, &wm.options_.embed_dim) &&
-       ReadPod(f, &wm.options_.num_heads) &&
-       ReadPod(f, &wm.options_.ffn_dim) &&
-       ReadPod(f, &wm.options_.num_layers) &&
-       ReadPod(f, &wm.options_.decoder_hidden) &&
-       ReadPod(f, &wm.options_.pos_weight) &&
-       ReadPod(f, &wm.options_.threshold) &&
-       ReadPod(f, &wm.options_.seed) && ReadPod(f, &removal);
+  uint32_t template_id = 0, removal = 0;
   uint64_t num_models = 0, total_params = 0;
-  ok = ok && ReadPod(f, &wm.report_.train_seconds) &&
-       ReadPod(f, &num_models) && ReadPod(f, &total_params) &&
-       ReadPod(f, &wm.report_.mean_final_loss);
-  if (!ok) return Status::IoError("corrupt model file: " + path);
+  r->Pod(&wm.fingerprint_);
+  r->Pod(&template_id);
+  r->Pod(&wm.options_.embed_dim);
+  r->Pod(&wm.options_.num_heads);
+  r->Pod(&wm.options_.ffn_dim);
+  r->Pod(&wm.options_.num_layers);
+  r->Pod(&wm.options_.decoder_hidden);
+  r->Pod(&wm.options_.pos_weight);
+  r->Pod(&wm.options_.threshold);
+  r->Pod(&wm.options_.seed);
+  r->Pod(&removal);
+  r->Pod(&wm.report_.train_seconds);
+  r->Pod(&num_models);
+  r->Pod(&total_params);
+  r->Pod(&wm.report_.mean_final_loss);
   wm.template_id_ = static_cast<TemplateId>(template_id);
   wm.options_.removal = static_cast<SequentialRemoval>(removal);
   wm.report_.num_models = num_models;
   wm.report_.total_parameters = total_params;
 
   uint32_t count = 0;
-  if (!ReadPod(f, &count)) return Status::IoError("corrupt: " + path);
-  for (uint32_t i = 0; i < count; ++i) {
-    ObjectId o = 0;
-    if (!ReadPod(f, &o)) return Status::IoError("corrupt: " + path);
-    wm.modeled_objects_.push_back(o);
-  }
+  if (!r->Count(&count, sizeof(ObjectId))) return corrupt;
+  wm.modeled_objects_.resize(count);
+  for (ObjectId& o : wm.modeled_objects_) r->Pod(&o);
 
-  if (!ReadPod(f, &count)) return Status::IoError("corrupt: " + path);
-  std::vector<std::string> tokens;
-  for (uint32_t i = 0; i < count; ++i) {
-    std::string s;
-    if (!ReadString(f, &s)) return Status::IoError("corrupt: " + path);
-    tokens.push_back(std::move(s));
-  }
+  // Every string starts with its u32 length.
+  if (!r->Count(&count, sizeof(uint32_t))) return corrupt;
+  std::vector<std::string> tokens(count);
+  for (std::string& t : tokens) r->String<uint32_t>(&t);
   wm.vocab_.Add(tokens);  // [UNK] is id 0 in both
-  if (wm.vocab_.size() != count) {
-    return Status::Internal("vocabulary reconstruction mismatch");
+  if (r->failed() || wm.vocab_.size() != count) {
+    return Status::DataCorruption("vocabulary reconstruction mismatch");
   }
 
-  auto read_set = [&](std::unordered_set<std::string>* set) {
-    uint32_t n = 0;
-    if (!ReadPod(f, &n)) return false;
-    for (uint32_t i = 0; i < n; ++i) {
+  for (auto* set : {&wm.token_profile_, &wm.structure_profile_}) {
+    if (!r->Count(&count, sizeof(uint32_t))) return corrupt;
+    for (uint32_t i = 0; i < count; ++i) {
       std::string s;
-      if (!ReadString(f, &s)) return false;
+      if (!r->String<uint32_t>(&s)) return corrupt;
       set->insert(std::move(s));
     }
-    return true;
-  };
-  if (!read_set(&wm.token_profile_) || !read_set(&wm.structure_profile_)) {
-    return Status::IoError("corrupt: " + path);
   }
 
-  uint32_t num_units = 0;
-  if (!ReadPod(f, &num_units)) return Status::IoError("corrupt");
-  wm.units_.resize(num_units);
-  for (uint32_t u = 0; u < num_units; ++u) {
+  // Every unit starts with its u32 output count.
+  if (!r->Count(&count, sizeof(uint32_t))) return corrupt;
+  wm.units_.resize(count);
+  for (size_t u = 0; u < wm.units_.size(); ++u) {
     Unit& unit = wm.units_[u];
     uint32_t num_outputs = 0;
-    if (!ReadPod(f, &num_outputs)) return Status::IoError("corrupt");
-    unit.output_pages.reserve(num_outputs);
-    for (uint32_t i = 0; i < num_outputs; ++i) {
+    if (!r->Count(&num_outputs, sizeof(uint64_t))) return corrupt;
+    unit.output_pages.resize(num_outputs);
+    for (PageId& p : unit.output_pages) {
       uint64_t packed = 0;
-      if (!ReadPod(f, &packed)) return Status::IoError("corrupt");
-      unit.output_pages.push_back(PageId::Unpack(packed));
+      r->Pod(&packed);
+      p = PageId::Unpack(packed);
     }
-    PythiaModelConfig config;
-    config.vocab_size = wm.vocab_.size();
-    config.num_outputs = num_outputs;
-    config.embed_dim = wm.options_.embed_dim;
-    config.num_heads = wm.options_.num_heads;
-    config.ffn_dim = wm.options_.ffn_dim;
-    config.num_layers = wm.options_.num_layers;
-    config.decoder_hidden = wm.options_.decoder_hidden;
-    config.pos_weight = wm.options_.pos_weight;
-    config.seed = wm.options_.seed + 31 * u;
+    const PythiaModelConfig config = wm.UnitConfig(num_outputs, u);
+    // Attention splits embed_dim into num_heads heads of at least one
+    // column, and the parameter block that follows stores every weight this
+    // config implies: a shape outside those bounds is a lying architecture
+    // field, not a model to allocate.
+    if (r->failed() || config.num_heads == 0 ||
+        config.num_heads > config.embed_dim ||
+        MinWeightFloats(config) * sizeof(float) >
+            static_cast<double>(r->remaining())) {
+      return corrupt;
+    }
     unit.model = std::make_unique<PythiaModel>(config);
-    Status s = nn::ReadParams(f, unit.model->Params());
+    Status s = nn::ReadParams(r, unit.model->Params());
     if (!s.ok()) return s;
   }
+  if (!r->done()) return Status::DataCorruption("trailing payload bytes");
   return wm;
 }
-
-namespace {
-
-// Raw byte copy via the durable-write gateway (same atomic-publish
-// discipline as WorkloadModel::Save, without re-serializing — and without
-// double-counting model.atomic_saves). Used to maintain the last-known-good
-// snapshot next to the primary cache file.
-bool CopyModelFile(const std::string& from, const std::string& to) {
-  return CopyFileAtomic(from, to).ok();
-}
-
-bool FileExists(const std::string& path) {
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  return f != nullptr;
-}
-
-}  // namespace
 
 Result<WorkloadModel> GetOrTrainWorkloadModel(const std::string& cache_path,
                                               const Database& db,
@@ -879,7 +684,8 @@ Result<WorkloadModel> GetOrTrainWorkloadModel(const std::string& cache_path,
     cached->set_threshold(options.threshold);
     // A healthy primary is also the freshest possible snapshot: (re)create
     // the last-known-good copy if a crash or cleanup lost it.
-    if (!FileExists(lkg_path) && CopyModelFile(cache_path, lkg_path)) {
+    if (!std::filesystem::exists(lkg_path) &&
+        CopyFileAtomic(cache_path, lkg_path).ok()) {
       IntegrityCounter("model.lkg_snapshots").Increment();
     }
     return cached;
@@ -895,7 +701,7 @@ Result<WorkloadModel> GetOrTrainWorkloadModel(const std::string& cache_path,
       PYTHIA_TRACE_INSTANT_CTX("model", "lkg_restore");
       // Re-publish the snapshot as the primary so the next process loads
       // it directly instead of restoring again.
-      CopyModelFile(lkg_path, cache_path);
+      CopyFileAtomic(lkg_path, cache_path);
       snapshot->set_threshold(options.threshold);
       return snapshot;
     }
@@ -921,7 +727,7 @@ Result<WorkloadModel> GetOrTrainWorkloadModel(const std::string& cache_path,
     return Status::Aborted(
         "simulated crash between model publish and lkg sidecar: " +
         cache_path);
-  } else if (CopyModelFile(cache_path, lkg_path)) {
+  } else if (CopyFileAtomic(cache_path, lkg_path).ok()) {
     IntegrityCounter("model.lkg_snapshots").Increment();
   }
   return fresh;

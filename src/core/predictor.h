@@ -15,7 +15,6 @@
 #ifndef PYTHIA_CORE_PREDICTOR_H_
 #define PYTHIA_CORE_PREDICTOR_H_
 
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -25,6 +24,7 @@
 #include "core/model.h"
 #include "core/trace_processor.h"
 #include "core/vocab.h"
+#include "util/bytes.h"
 #include "util/status.h"
 #include "workload/generator.h"
 
@@ -81,11 +81,6 @@ struct IncrementalSample {
 struct IncrementalTrainOptions {
   int epochs = 6;
   float lr = 1e-3f;
-  // Optimizer-state reset policy: when false, each unit's Adam moments are
-  // kept across incremental rounds (smoother updates on a stationary
-  // stream). A round that grows the vocabulary always resets — the
-  // parameter set changed shape, so the old moments no longer correspond.
-  bool reset_optimizer_state = false;
   // Shuffle seed for this round; the caller varies it per round so
   // repeated rounds don't replay the same sample order.
   uint64_t seed = 17;
@@ -151,16 +146,20 @@ class WorkloadModel {
   // Serializes the trained model (options, vocabulary, workload profiles
   // and all unit weights) to `path`. The file embeds a fingerprint of the
   // training configuration so stale caches are detected on load, and is
-  // written atomically (temp file + rename) behind a magic/version/CRC-32
-  // header so a crashed or torn write can never leave a half-written model
-  // where a loader will find it.
+  // published with WriteFramedFile (storage/durable.h): the shared
+  // magic/version/size/CRC-32 frame, written atomically (temp file +
+  // rename), so a crashed or torn write can never leave a half-written
+  // model where a loader will find it.
   Status Save(const std::string& path);
-  // Loads and verifies a saved model. A file that fails verification
-  // (truncated, bit-flipped, unparseable) is quarantined — renamed to
-  // <path>.corrupt — and DataCorruption returned, so the caller falls back
-  // to retraining instead of aborting; a clean version mismatch returns
-  // FailedPrecondition without quarantining. Counters for both paths live
-  // under "model.*" in MetricsRegistry (util/metrics_registry.h).
+  // Loads and verifies a saved model: ReadFramedFile, then a parse through
+  // the bounds-checked ByteReader (util/bytes.h), so a length or count the
+  // file does not back fails the parse instead of sizing a container. A
+  // file that fails verification (truncated, bit-flipped, unparseable) is
+  // quarantined with QuarantineFile — renamed to <path>.corrupt — and
+  // DataCorruption returned, so the caller falls back to retraining instead
+  // of aborting; a clean version mismatch returns FailedPrecondition
+  // without quarantining. Counters for both paths live under "model.*" in
+  // MetricsRegistry (util/metrics_registry.h).
   static Result<WorkloadModel> Load(const std::string& path);
 
   // Fingerprint of (options, workload shape, db size) used to validate
@@ -202,10 +201,11 @@ class WorkloadModel {
   // samples' tokens/structures into the match profiles, then reuses the
   // per-unit TrainStep machinery for `options.epochs` passes over the
   // samples. Each unit's Adam optimizer persists across rounds inside the
-  // model; see IncrementalTrainOptions::reset_optimizer_state for the reset
-  // policy. Bumps revision(). Deterministic: parallel unit training is
-  // bit-identical to sequential, and sample order depends only on
-  // options.seed.
+  // model (smoother updates on a stationary stream); a round that grows the
+  // vocabulary resets its moments, because the embedding parameter changed
+  // shape and the old moments no longer correspond. Bumps revision().
+  // Deterministic: parallel unit training is bit-identical to sequential,
+  // and sample order depends only on options.seed.
   IncrementalTrainReport IncrementalTrain(
       const std::vector<IncrementalSample>& samples,
       const IncrementalTrainOptions& options);
@@ -232,10 +232,14 @@ class WorkloadModel {
 
   WorkloadModel() = default;
 
-  // Everything after the integrity header, CRC-framed by Save/Load.
-  Status WritePayload(std::FILE* f);
-  static Result<WorkloadModel> ParsePayload(std::FILE* f,
-                                            const std::string& path);
+  // Unit `unit`'s model shape: the shared architecture options, the
+  // current vocabulary and its own output count and seed.
+  PythiaModelConfig UnitConfig(size_t num_outputs, size_t unit) const;
+
+  // The payload inside the durable frame (storage/durable.h) Save writes
+  // and Load verifies.
+  void WritePayload(ByteWriter* w);
+  static Result<WorkloadModel> ParsePayload(ByteReader* r);
 
   TemplateId template_id_ = TemplateId::kDsb18;
   PredictorOptions options_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
 
 #include "core/system.h"
@@ -55,14 +54,9 @@ Result<CheckpointManifest> RecoveryManager::LoadNewestValidManifest(
       // Torn or bit-rotted: quarantine for postmortems and fall back one
       // generation. The quarantined name no longer parses as a manifest, so
       // later scans skip it.
-      const std::string quarantine = path + ".corrupt";
-      std::remove(quarantine.c_str());
-      if (std::rename(path.c_str(), quarantine.c_str()) == 0) {
+      if (QuarantineFile(path)) {
         reg.counter("recovery.quarantines").Increment();
         if (report != nullptr) ++report->manifests_quarantined;
-        std::fprintf(stderr,
-                     "warning: quarantined corrupt manifest %s -> %s\n",
-                     path.c_str(), quarantine.c_str());
       }
     } else if (report != nullptr) {
       // Clean version mismatch (or unreadable): skip without destroying.

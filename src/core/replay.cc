@@ -12,6 +12,10 @@ namespace pythia {
 
 namespace {
 
+// Seed of the simulated device's page images; every channel's disk shares
+// it, so all channels hold identical pages.
+constexpr uint64_t kDiskContentSeed = 0x5eedd15c;
+
 BufferPoolStats StatsDelta(const BufferPoolStats& after,
                            const BufferPoolStats& before) {
   BufferPoolStats d;
@@ -52,7 +56,6 @@ SimEnvironment::SimEnvironment(const SimOptions& options)
   pool_options.policy = options.policy;
   pool_options.retry = options.retry;
   pool_options.num_shards = options.buffer_shards;
-  pool_options.seed = options.disk_content_seed;
   pool_options.profile_locks = options.profile_pool_locks;
   pool_ = std::make_unique<BufferPool>(pool_options, os_cache_.get(),
                                        options.latency);
@@ -110,14 +113,14 @@ SimEnvironment::SimEnvironment(const SimOptions& options)
     }
   }
   if (options.faults.corruption_enabled() || options.verify_page_checksums) {
-    disk_ = std::make_unique<SimulatedDisk>(options.disk_content_seed,
+    disk_ = std::make_unique<SimulatedDisk>(kDiskContentSeed,
                                             injector_.get());
     os_cache_->set_disk(disk_.get());
     for (size_t c = 1; c < channels; ++c) {
       FaultInjector* channel_injector =
           options.faults.enabled() ? channel_injectors_[c - 1].get() : nullptr;
       channel_disks_.push_back(std::make_unique<SimulatedDisk>(
-          options.disk_content_seed, channel_injector));
+          kDiskContentSeed, channel_injector));
       os_cache_->set_channel_disk(c, channel_disks_.back().get());
     }
   }

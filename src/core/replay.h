@@ -62,7 +62,6 @@ struct SimOptions {
   // imply verification regardless of this flag; the flag exists to measure
   // the (virtual-time-free) verification overhead and to harden tests.
   bool verify_page_checksums = false;
-  uint64_t disk_content_seed = 0x5eedd15c;
   // Gray-failure resilience (storage/channel_health.h). channel_health.enabled
   // constructs one tracker over the OS-cache storage channels (fed by every
   // device read, consulted for hedged foreground reads when

@@ -2,7 +2,7 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
+#include <string>
 
 namespace pythia::nn {
 
@@ -10,48 +10,25 @@ namespace {
 
 constexpr uint32_t kMagic = 0x50594e4e;  // "PYNN"
 
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f != nullptr) std::fclose(f);
-  }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
-
-bool WriteU32(std::FILE* f, uint32_t v) {
-  return std::fwrite(&v, sizeof(v), 1, f) == 1;
-}
-
-bool ReadU32(std::FILE* f, uint32_t* v) {
-  return std::fread(v, sizeof(*v), 1, f) == 1;
-}
-
 }  // namespace
 
-Status WriteParams(std::FILE* f, const ParamList& params) {
-  if (!WriteU32(f, kMagic) ||
-      !WriteU32(f, static_cast<uint32_t>(params.size()))) {
-    return Status::IoError("parameter write failed");
-  }
+void WriteParams(ByteWriter* out, const ParamList& params) {
+  out->Pod(kMagic);
+  out->Pod(static_cast<uint32_t>(params.size()));
   for (const Param* p : params) {
-    const uint32_t name_len = static_cast<uint32_t>(p->name.size());
-    if (!WriteU32(f, name_len) ||
-        std::fwrite(p->name.data(), 1, name_len, f) != name_len ||
-        !WriteU32(f, static_cast<uint32_t>(p->value.rows())) ||
-        !WriteU32(f, static_cast<uint32_t>(p->value.cols())) ||
-        std::fwrite(p->value.data(), sizeof(float), p->value.size(), f) !=
-            p->value.size()) {
-      return Status::IoError("parameter write failed");
-    }
+    out->String<uint32_t>(p->name);
+    out->Pod(static_cast<uint32_t>(p->value.rows()));
+    out->Pod(static_cast<uint32_t>(p->value.cols()));
+    out->Bytes(p->value.data(), p->value.size() * sizeof(float));
   }
-  return Status::OK();
 }
 
-Status ReadParams(std::FILE* f, const ParamList& params) {
+Status ReadParams(ByteReader* in, const ParamList& params) {
   uint32_t magic = 0, count = 0;
-  if (!ReadU32(f, &magic) || magic != kMagic) {
+  if (!in->Pod(&magic) || magic != kMagic) {
     return Status::IoError("bad parameter-block magic");
   }
-  if (!ReadU32(f, &count)) return Status::IoError("truncated parameters");
+  if (!in->Pod(&count)) return Status::IoError("truncated parameters");
 
   std::map<std::string, Param*> by_name;
   for (Param* p : params) by_name[p->name] = p;
@@ -62,11 +39,9 @@ Status ReadParams(std::FILE* f, const ParamList& params) {
   }
 
   for (uint32_t i = 0; i < count; ++i) {
-    uint32_t name_len = 0, rows = 0, cols = 0;
-    if (!ReadU32(f, &name_len)) return Status::IoError("truncated");
-    std::string name(name_len, '\0');
-    if (std::fread(name.data(), 1, name_len, f) != name_len ||
-        !ReadU32(f, &rows) || !ReadU32(f, &cols)) {
+    std::string name;
+    uint32_t rows = 0, cols = 0;
+    if (!in->String<uint32_t>(&name) || !in->Pod(&rows) || !in->Pod(&cols)) {
       return Status::IoError("truncated parameters");
     }
     auto it = by_name.find(name);
@@ -77,24 +52,11 @@ Status ReadParams(std::FILE* f, const ParamList& params) {
     if (p->value.rows() != rows || p->value.cols() != cols) {
       return Status::InvalidArgument("shape mismatch for '" + name + "'");
     }
-    if (std::fread(p->value.data(), sizeof(float), p->value.size(), f) !=
-        p->value.size()) {
+    if (!in->Bytes(p->value.data(), p->value.size() * sizeof(float))) {
       return Status::IoError("truncated parameters");
     }
   }
   return Status::OK();
-}
-
-Status SaveParams(const ParamList& params, const std::string& path) {
-  FilePtr f(std::fopen(path.c_str(), "wb"));
-  if (!f) return Status::IoError("cannot open for write: " + path);
-  return WriteParams(f.get(), params);
-}
-
-Status LoadParams(const ParamList& params, const std::string& path) {
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (!f) return Status::IoError("cannot open for read: " + path);
-  return ReadParams(f.get(), params);
 }
 
 }  // namespace pythia::nn

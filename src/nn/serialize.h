@@ -1,30 +1,25 @@
-// Binary save/load for model parameters. The format is a tiny
-// length-prefixed record stream: [name, rows, cols, float data] per
-// parameter, with a magic header. Loading is by-name so a model can be
-// rebuilt from config and then have its weights restored.
+// Binary encoding of a model's parameters, embedded in a larger payload
+// (a serialized WorkloadModel, core/predictor.h) through the bounds-checked
+// byte codec (util/bytes.h). The block is a magic and a record count, then
+// [name, rows, cols, float data] per parameter. Reading is by name, so a
+// model can be rebuilt from its config and then have its weights restored.
+// The enclosing file supplies the CRC frame and the atomic publish
+// (storage/durable.h).
 #ifndef PYTHIA_NN_SERIALIZE_H_
 #define PYTHIA_NN_SERIALIZE_H_
 
-#include <cstdio>
-#include <string>
-
 #include "nn/param.h"
+#include "util/bytes.h"
 #include "util/status.h"
 
 namespace pythia::nn {
 
-// Stream variants, for embedding parameter blocks inside larger files
-// (e.g., a serialized WorkloadModel).
-Status WriteParams(std::FILE* f, const ParamList& params);
-Status ReadParams(std::FILE* f, const ParamList& params);
+void WriteParams(ByteWriter* out, const ParamList& params);
 
-// Writes all parameters to `path`.
-Status SaveParams(const ParamList& params, const std::string& path);
-
-// Restores parameters from `path` by matching names and shapes. Fails if
-// any parameter in `params` is missing from the file or has a different
-// shape; extra records in the file are an error too (stale model).
-Status LoadParams(const ParamList& params, const std::string& path);
+// Restores `params` by matching names and shapes. Fails if any parameter in
+// `params` is missing from the block or has a different shape; a block with
+// another record count is an error too (stale model).
+Status ReadParams(ByteReader* in, const ParamList& params);
 
 }  // namespace pythia::nn
 

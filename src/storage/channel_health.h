@@ -66,9 +66,8 @@ struct ChannelHealthOptions {
   // --- Hedging policy (consumed by OsPageCache) --------------------------
   bool hedging_enabled = false;
   // Deadline = mult x the cross-channel reference p99 (min completed-window
-  // p99 over the OTHER channels), floored at hedge_min_deadline_us.
+  // p99 over the OTHER channels).
   double hedge_deadline_mult = 1.5;
-  SimTime hedge_min_deadline_us = 0;
   // Hard cap on hedges as a fraction of all observed device reads.
   double hedge_budget_fraction = 0.05;
 };
@@ -185,11 +184,8 @@ class ChannelHealthTracker {
       if (p99 > 0 && (ref == 0 || p99 < ref)) ref = p99;
     }
     if (ref == 0) return 0;
-    const SimTime deadline = static_cast<SimTime>(
-        options_.hedge_deadline_mult * static_cast<double>(ref));
-    return deadline > options_.hedge_min_deadline_us
-               ? deadline
-               : options_.hedge_min_deadline_us;
+    return static_cast<SimTime>(options_.hedge_deadline_mult *
+                                static_cast<double>(ref));
   }
 
   // Warm channel (other than `channel`) with the lowest EWMA — where a

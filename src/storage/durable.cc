@@ -5,6 +5,7 @@
 
 #include <unistd.h>
 
+#include "util/bytes.h"
 #include "util/crc32.h"
 
 namespace pythia {
@@ -195,6 +196,57 @@ Status WriteFileAtomic(const std::string& path, const void* data, size_t len,
     return Status::IoError("rename failed: " + tmp + " -> " + path);
   }
   return Status::OK();
+}
+
+Status WriteFramedFile(const std::string& path, uint32_t magic,
+                       uint32_t version, const std::string& payload,
+                       const AtomicWriteSites& sites) {
+  ByteWriter file;
+  file.Pod(magic);
+  file.Pod(version);
+  file.Pod(static_cast<uint64_t>(payload.size()));
+  file.Pod(Crc32(payload.data(), payload.size()));
+  file.Bytes(payload.data(), payload.size());
+  return WriteFileAtomic(path, file.bytes().data(), file.bytes().size(),
+                         sites);
+}
+
+Result<std::string> ReadFramedFile(const std::string& path, uint32_t magic,
+                                   uint32_t version) {
+  Result<std::string> bytes = ReadFileBytes(path);
+  if (!bytes.ok()) return bytes.status();
+  ByteReader header(bytes.value());
+  uint32_t file_magic = 0, file_version = 0, crc = 0;
+  uint64_t payload_size = 0;
+  if (!header.Pod(&file_magic) || file_magic != magic) {
+    return Status::DataCorruption("bad magic: " + path);
+  }
+  // A file cut inside the version field is damaged, not stale: only a fully
+  // readable, different version is a clean mismatch.
+  if (!header.Pod(&file_version)) {
+    return Status::DataCorruption("truncated header: " + path);
+  }
+  if (file_version != version) {
+    return Status::FailedPrecondition("format version mismatch: " + path);
+  }
+  if (!header.Pod(&payload_size) || !header.Pod(&crc) ||
+      header.remaining() != payload_size) {
+    return Status::DataCorruption("payload size mismatch: " + path);
+  }
+  std::string payload = bytes->substr(bytes->size() - header.remaining());
+  if (Crc32(payload.data(), payload.size()) != crc) {
+    return Status::DataCorruption("payload CRC mismatch: " + path);
+  }
+  return payload;
+}
+
+bool QuarantineFile(const std::string& path) {
+  const std::string quarantine = path + ".corrupt";
+  std::remove(quarantine.c_str());
+  if (std::rename(path.c_str(), quarantine.c_str()) != 0) return false;
+  std::fprintf(stderr, "warning: quarantined corrupt file %s -> %s\n",
+               path.c_str(), quarantine.c_str());
+  return true;
 }
 
 Status CopyFileAtomic(const std::string& from, const std::string& to) {

@@ -1,7 +1,8 @@
 // Durable-write gateway: one code path for every host-filesystem artifact
 // the system publishes (model .pywm files, .lkg sidecars, checkpoint
-// manifests), with deterministic crash-point injection and seeded
-// torn-write/rename fault modeling.
+// manifests) — the atomic publish, the CRC frame those files share and the
+// quarantine of a file that fails verification — with deterministic
+// crash-point injection and seeded torn-write/rename fault modeling.
 //
 // The simulated device (sim_disk.h) already models torn page writes, but
 // the learned state the system accrues — model weights, checkpoint
@@ -135,6 +136,31 @@ struct AtomicWriteSites {
 // leave it), IoError on real or injected write/rename failure.
 Status WriteFileAtomic(const std::string& path, const void* data, size_t len,
                        const AtomicWriteSites& sites = AtomicWriteSites());
+
+// The frame every durable file shares (.pywm model files and their .lkg
+// copies, .pyck checkpoint manifests), in host byte order:
+//
+//   [magic u32][version u32][payload size u64][payload CRC-32 u32][payload]
+//
+// WriteFramedFile stamps the header and publishes through WriteFileAtomic.
+Status WriteFramedFile(const std::string& path, uint32_t magic,
+                       uint32_t version, const std::string& payload,
+                       const AtomicWriteSites& sites = AtomicWriteSites());
+
+// Reads and verifies a frame, returning its payload. NotFound when the file
+// is missing (IoError when it cannot be read); FailedPrecondition when the
+// magic matches and the version field reads but names another version (a
+// stale file, not a damaged one); DataCorruption for every other defect:
+// bad magic, a header cut short, a size field the file does not back
+// (truncation or trailing bytes) or a CRC mismatch. Whether to quarantine
+// is the caller's decision.
+Result<std::string> ReadFramedFile(const std::string& path, uint32_t magic,
+                                   uint32_t version);
+
+// Moves a file that failed verification to <path>.corrupt (replacing an
+// older quarantined copy) so no later scan or cache lookup trips on it
+// again, and keeps it for postmortems. Warns on stderr; true when renamed.
+bool QuarantineFile(const std::string& path);
 
 // Raw byte copy `from` -> `to` through WriteFileAtomic (same atomic-publish
 // and durable-fault discipline, no crash windows of its own).

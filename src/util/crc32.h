@@ -1,12 +1,13 @@
 // CRC-32 (IEEE 802.3, the zlib/gzip polynomial 0xEDB88320), table-driven.
 //
-// Used to stamp every SimulatedDisk page image and to frame serialized
-// .pywm model files, so silent corruption (bit-flips, torn writes) is
-// detected on every read path instead of being served to the buffer pool or
-// deserialized into a live model. CRC-32 detects all single-bit errors and
-// all burst errors up to 32 bits — exactly the fault classes the corruption
-// injector produces. Not cryptographic: an adversary can forge it, a flaky
-// device cannot.
+// Used to stamp every SimulatedDisk page image and, in the one durable
+// frame (storage/durable.h WriteFramedFile/ReadFramedFile), every .pywm
+// model file and .pyck checkpoint manifest, so silent corruption
+// (bit-flips, torn writes) is detected on every read path instead of being
+// served to the buffer pool or deserialized into a live model. CRC-32
+// detects all single-bit errors and all burst errors up to 32 bits —
+// exactly the fault classes the corruption injector produces. Not
+// cryptographic: an adversary can forge it, a flaky device cannot.
 //
 // The incremental API matches zlib's: `crc = Crc32(data, len, crc)` with a
 // starting value of 0, so a buffer may be checksummed in arbitrary chunks

@@ -3,15 +3,19 @@
 // latch), the residue each crash window leaves behind a WriteFileAtomic,
 // torn-durable-write injection, manifest framing/round-trip/quarantine,
 // generation monotonicity + pruning, and the full recovery decision tree
-// (primary / lkg / retrain) including revision-filtered warm-cache restore.
+// (primary / lkg / retrain) including revision-filtered warm-cache restore,
+// and a seeded mutation fuzz of the .pywm and .pyck parsers.
 //
 // Training is the expensive part, so one model is trained per suite, its
 // fingerprint stamped, and cloned into fresh systems per test.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/checkpoint.h"
@@ -19,7 +23,10 @@
 #include "core/system.h"
 #include "storage/durable.h"
 #include "storage/fault_injector.h"
+#include "util/bytes.h"
+#include "util/crc32.h"
 #include "util/metrics_registry.h"
+#include "util/rng.h"
 
 namespace pythia {
 namespace {
@@ -607,6 +614,260 @@ TEST_F(CheckpointRecoveryTest, RecoveryCountersAdvance) {
   EXPECT_GT(after.checkpoints_written, before.checkpoints_written);
   EXPECT_GT(after.models_from_primary, before.models_from_primary);
   EXPECT_GT(after.warm_cache_restores, before.warm_cache_restores);
+}
+
+// --- Seeded mutation fuzz of the durable parsers ---------------------------
+// Truncations, bit flips and splices of a saved .pywm and a checkpoint
+// .pyck, each run with the frame's CRC left stale and with it re-stamped so
+// the payload parser meets the damage; plus every count field (and the
+// first few string lengths) set to all ones behind a valid CRC. Every mutant
+// must load or fail cleanly: DataCorruption, or FailedPrecondition only
+// when the version field changed. A failing .pywm is quarantined, and
+// nothing may abort or allocate what the file does not back. A missing file
+// is NotFound.
+
+constexpr size_t kFrameBytes = 20;  // magic, version, payload size, CRC-32
+
+// A field to lie about: `width` bytes at `offset` in the whole file.
+struct LieSite {
+  size_t offset;
+  size_t width;
+  std::string field;
+};
+
+// Walks a framed payload and records the offsets of its length fields.
+class PayloadWalk {
+ public:
+  explicit PayloadWalk(const std::string& file)
+      : file_(file), r_(std::string_view(file).substr(kFrameBytes)) {}
+
+  void Skip(size_t n) {
+    sink_.resize(n);
+    ASSERT_TRUE(r_.Bytes(sink_.data(), n));
+  }
+  // Records the length field at the cursor as a lie site and reads it.
+  template <typename T>
+  T Length(const std::string& field, bool lie = true) {
+    if (lie) {
+      sites_.push_back({file_.size() - r_.remaining(), sizeof(T), field});
+    }
+    T n = 0;
+    EXPECT_TRUE(r_.Pod(&n));
+    return n;
+  }
+  std::vector<LieSite> Done() {
+    EXPECT_TRUE(r_.done()) << "walk disagrees with the writer";
+    return sites_;
+  }
+
+ private:
+  const std::string& file_;
+  ByteReader r_;
+  std::string sink_;  // destination of skipped bytes
+  std::vector<LieSite> sites_;
+};
+
+// In the order WorkloadModel::WritePayload writes them.
+std::vector<LieSite> ModelLieSites(const std::string& file) {
+  PayloadWalk w(file);
+  w.Skip(8 + 4);  // fingerprint, template id
+  for (const char* dim : {"embed_dim", "num_heads", "ffn_dim", "num_layers",
+                          "decoder_hidden"}) {
+    w.Length<size_t>(dim);
+  }
+  // pos_weight, threshold, seed, removal; report: train_seconds,
+  // num_models, total_parameters, mean_final_loss.
+  w.Skip(4 + 4 + 8 + 4 + 8 + 8 + 8 + 8);
+  w.Skip(w.Length<uint32_t>("object count") * sizeof(ObjectId));
+  for (const std::string set : {"vocabulary", "token profile",
+                                "structure profile"}) {
+    const uint32_t n = w.Length<uint32_t>(set + " count");
+    for (uint32_t i = 0; i < n; ++i) {
+      w.Skip(w.Length<uint32_t>(set + " string length", i < 2));
+    }
+  }
+  const uint32_t units = w.Length<uint32_t>("unit count");
+  for (uint32_t u = 0; u < units; ++u) {
+    w.Skip(w.Length<uint32_t>("unit output count") * sizeof(uint64_t));
+    w.Skip(4);  // parameter-block magic
+    const uint32_t records = w.Length<uint32_t>("parameter count", u == 0);
+    for (uint32_t i = 0; i < records; ++i) {
+      w.Skip(w.Length<uint32_t>("parameter name length", u == 0 && i == 0));
+      const uint32_t rows = w.Length<uint32_t>("rows", false);
+      const uint32_t cols = w.Length<uint32_t>("cols", false);
+      w.Skip(size_t{rows} * cols * sizeof(float));
+    }
+  }
+  return w.Done();
+}
+
+// In the order SerializeManifest writes them.
+std::vector<LieSite> ManifestLieSites(const std::string& file) {
+  PayloadWalk w(file);
+  w.Skip(8 + 1 + 4);  // generation, has_governor, governor_rung
+  const uint64_t workloads = w.Length<uint64_t>("workload count");
+  for (uint64_t i = 0; i < workloads; ++i) {
+    w.Skip(8 + 8);  // revision, fingerprint
+    w.Skip(w.Length<uint64_t>("model path length"));
+    w.Skip(2 * (1 + 8 + 4));  // primary and lkg identities
+    w.Skip(4);                // watchdog health
+    w.Skip(w.Length<uint64_t>("watchdog window count") * sizeof(double));
+    // probation, probe successes, post-swap remaining, demoted flag, five
+    // watchdog stats; adaptation flag, phase, four counters, mean ratio.
+    w.Skip(3 * 8 + 1 + 5 * 8 + 1 + 4 + 4 * 8 + 8);
+  }
+  const uint64_t entries = w.Length<uint64_t>("cache entry count");
+  for (uint64_t i = 0; i < entries; ++i) {
+    w.Skip(8 + 8);  // model id, revision
+    w.Skip(w.Length<uint64_t>("plan length", i < 2));
+    w.Skip(w.Length<uint64_t>("page count", i < 2) * sizeof(uint64_t));
+  }
+  return w.Done();
+}
+
+// Points the frame's size and CRC at the (possibly resized) payload, so the
+// damage passes the CRC check and reaches the payload parser.
+std::string Restamp(std::string file) {
+  if (file.size() < kFrameBytes) return file;
+  const uint64_t size = file.size() - kFrameBytes;
+  const uint32_t crc = Crc32(file.data() + kFrameBytes, size);
+  std::memcpy(&file[8], &size, sizeof(size));
+  std::memcpy(&file[16], &crc, sizeof(crc));
+  return file;
+}
+
+struct Mutant {
+  std::string bytes;
+  std::string what;
+};
+
+std::vector<Mutant> Mutate(const std::string& file,
+                           const std::vector<LieSite>& lies, uint64_t seed) {
+  std::vector<Mutant> out;
+  Pcg32 rng(seed, /*stream=*/0xf022);
+  for (int i = 0; i < 44; ++i) {
+    std::string m = file;
+    std::string what;
+    switch (i % 3) {
+      case 0: {
+        m.resize(rng.UniformU32(static_cast<uint32_t>(file.size())));
+        what = "truncated to " + std::to_string(m.size());
+        break;
+      }
+      case 1: {
+        const uint32_t bit =
+            rng.UniformU32(static_cast<uint32_t>(file.size() * 8));
+        m[bit / 8] = static_cast<char>(m[bit / 8] ^ (1u << (bit % 8)));
+        what = "bit " + std::to_string(bit) + " flipped";
+        break;
+      }
+      default: {
+        const uint32_t len = 1 + rng.UniformU32(64);
+        const uint32_t span = static_cast<uint32_t>(file.size()) - len;
+        const uint32_t from = rng.UniformU32(span), to = rng.UniformU32(span);
+        std::memcpy(&m[to], file.data() + from, len);
+        what = std::to_string(len) + " bytes spliced from " +
+               std::to_string(from) + " to " + std::to_string(to);
+        break;
+      }
+    }
+    out.push_back({m, what + ", CRC stale"});
+    out.push_back({Restamp(m), what + ", CRC re-stamped"});
+  }
+  for (const LieSite& lie : lies) {
+    std::string m = file;
+    std::memset(&m[lie.offset], 0xff, lie.width);
+    out.push_back({Restamp(m), lie.field + " set to all ones"});
+  }
+  return out;
+}
+
+void WriteRaw(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// Load succeeded, or failed as DataCorruption — FailedPrecondition only for a
+// changed version field.
+void ExpectCleanOutcome(const Status& s, const std::string& original,
+                        const Mutant& m) {
+  if (s.ok()) return;
+  const bool version_changed =
+      m.bytes.size() >= 8 && original.compare(4, 4, m.bytes, 4, 4) != 0;
+  if (s.code() == StatusCode::kFailedPrecondition) {
+    EXPECT_TRUE(version_changed) << m.what << ": " << s.ToString();
+  } else {
+    EXPECT_EQ(s.code(), StatusCode::kDataCorruption)
+        << m.what << ": " << s.ToString();
+  }
+}
+
+TEST_F(CheckpointRecoveryTest, MutatedModelAndManifestFailCleanly) {
+  const std::string dir = NewDir("mutation");
+  const std::string model_path = dir + "/wm.pywm";
+  auto system = MakeSystem();
+  for (size_t ti : wl_->test_indices) {
+    const WorkloadQuery& q = wl_->queries[ti];
+    system->prediction_cache().Insert(
+        system->PredictionKeyFor(system->model(0), q), {PageId{1, 2}});
+  }
+  for (int i = 0; i < 4; ++i) system->watchdog(0).Record(10, 0);
+  CheckpointManager mgr(dir, CheckpointOptions());
+  ASSERT_TRUE(mgr.Checkpoint(*system, {model_path}).ok());
+  const std::vector<std::string>& probe =
+      wl_->queries[wl_->test_indices[0]].tokens;
+
+  Result<std::string> model = ReadFileBytes(model_path);
+  ASSERT_TRUE(model.ok());
+  const std::vector<LieSite> model_lies = ModelLieSites(model.value());
+  ASSERT_FALSE(HasFatalFailure());
+  size_t model_loaded = 0;
+  const std::vector<Mutant> model_mutants =
+      Mutate(model.value(), model_lies, /*seed=*/16);
+  for (const Mutant& m : model_mutants) {
+    const std::string path = dir + "/mutant.pywm";
+    WriteRaw(path, m.bytes);
+    Result<WorkloadModel> loaded = WorkloadModel::Load(path);
+    ExpectCleanOutcome(loaded.status(), model.value(), m);
+    if (loaded.ok()) {
+      ++model_loaded;
+      loaded->Predict(probe);  // a loaded mutant still serves
+    } else if (loaded.status().code() == StatusCode::kDataCorruption) {
+      EXPECT_FALSE(std::filesystem::exists(path)) << m.what;
+      EXPECT_TRUE(std::filesystem::exists(path + ".corrupt")) << m.what;
+    }
+  }
+
+  Result<std::string> manifest =
+      ReadFileBytes(CheckpointManager::ManifestPath(dir, 1));
+  ASSERT_TRUE(manifest.ok());
+  const std::vector<LieSite> manifest_lies = ManifestLieSites(manifest.value());
+  ASSERT_FALSE(HasFatalFailure());
+  const std::vector<Mutant> manifest_mutants =
+      Mutate(manifest.value(), manifest_lies, /*seed=*/16);
+  for (const Mutant& m : manifest_mutants) {
+    const std::string path = CheckpointManager::ManifestPath(dir, 2);
+    WriteRaw(path, m.bytes);
+    ExpectCleanOutcome(CheckpointManager::LoadManifest(path).status(),
+                       manifest.value(), m);
+  }
+
+  // A missing file is NotFound, not damage: nothing to quarantine.
+  EXPECT_EQ(WorkloadModel::Load(dir + "/missing.pywm").status().code(),
+            StatusCode::kNotFound);
+  EXPECT_FALSE(std::filesystem::exists(dir + "/missing.pywm.corrupt"));
+  EXPECT_EQ(CheckpointManager::LoadManifest(dir + "/missing.pyck")
+                .status()
+                .code(),
+            StatusCode::kNotFound);
+
+  // The walks found the count fields, and the corpus is not all-reject:
+  // re-stamped flips inside float weights still load.
+  EXPECT_GE(model_lies.size(), 12u);
+  EXPECT_GE(manifest_lies.size(), 6u);
+  EXPECT_GT(model_loaded, 0u);
+  EXPECT_GE(model_mutants.size(), 100u);
+  EXPECT_GE(manifest_mutants.size(), 90u);
 }
 
 }  // namespace

@@ -218,11 +218,13 @@ TEST(SerializeTest, SaveLoadRoundTrip) {
   Param a("alpha", 2, 3), b("beta", 1, 4);
   a.InitXavier(&rng);
   b.InitNormal(&rng, 1.0);
-  const std::string path = ::testing::TempDir() + "/params.bin";
-  ASSERT_TRUE(SaveParams({&a, &b}, path).ok());
+  ByteWriter out;
+  WriteParams(&out, {&a, &b});
 
   Param a2("alpha", 2, 3), b2("beta", 1, 4);
-  ASSERT_TRUE(LoadParams({&a2, &b2}, path).ok());
+  ByteReader in(out.bytes());
+  ASSERT_TRUE(ReadParams(&in, {&a2, &b2}).ok());
+  EXPECT_TRUE(in.done());
   for (size_t i = 0; i < a.value.size(); ++i) {
     EXPECT_EQ(a2.value.data()[i], a.value.data()[i]);
   }
@@ -233,23 +235,20 @@ TEST(SerializeTest, SaveLoadRoundTrip) {
 
 TEST(SerializeTest, ShapeMismatchFails) {
   Param a("alpha", 2, 3);
-  const std::string path = ::testing::TempDir() + "/params2.bin";
-  ASSERT_TRUE(SaveParams({&a}, path).ok());
+  ByteWriter out;
+  WriteParams(&out, {&a});
   Param wrong("alpha", 3, 2);
-  EXPECT_FALSE(LoadParams({&wrong}, path).ok());
-}
-
-TEST(SerializeTest, MissingFileFails) {
-  Param a("alpha", 1, 1);
-  EXPECT_FALSE(LoadParams({&a}, "/nonexistent/dir/params.bin").ok());
+  ByteReader in(out.bytes());
+  EXPECT_FALSE(ReadParams(&in, {&wrong}).ok());
 }
 
 TEST(SerializeTest, NameMismatchFails) {
   Param a("alpha", 1, 1);
-  const std::string path = ::testing::TempDir() + "/params3.bin";
-  ASSERT_TRUE(SaveParams({&a}, path).ok());
+  ByteWriter out;
+  WriteParams(&out, {&a});
   Param other("gamma", 1, 1);
-  EXPECT_FALSE(LoadParams({&other}, path).ok());
+  ByteReader in(out.bytes());
+  EXPECT_FALSE(ReadParams(&in, {&other}).ok());
 }
 
 }  // namespace
