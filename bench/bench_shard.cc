@@ -105,8 +105,8 @@ struct ArmResult {
                               : 0.0;
   }
   double avg_hold_ns() const {
-    return lock.hold_samples > 0 ? static_cast<double>(lock.hold_ns) /
-                                       static_cast<double>(lock.hold_samples)
+    return lock.acquisitions > 0 ? static_cast<double>(lock.hold_ns) /
+                                       static_cast<double>(lock.acquisitions)
                                  : 0.0;
   }
 };

@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
   std::printf("  %zu models, %zu parameters\n", model->report().num_models,
               model->report().total_parameters);
 
-  Status save = model->Save(path);
+  Status save = model->Save(path).status();
   if (!save.ok()) {
     std::fprintf(stderr, "save failed: %s\n", save.ToString().c_str());
     return 1;

@@ -63,10 +63,7 @@ BufferPool::Guard::Guard(const BufferPool* pool, Shard* shard, bool profile)
 }
 
 BufferPool::Guard::~Guard() {
-  if (profiled_) {
-    shard_->lock.hold_ns += NowNs() - hold_start_ns_;
-    ++shard_->lock.hold_samples;
-  }
+  if (profiled_) shard_->lock.hold_ns += NowNs() - hold_start_ns_;
   shard_->mu.unlock();
 }
 
@@ -359,7 +356,6 @@ BufferPoolLockStats BufferPool::lock_stats() const {
     total.contended += shard->lock.contended;
     total.wait_ns += shard->lock.wait_ns;
     total.hold_ns += shard->lock.hold_ns;
-    total.hold_samples += shard->lock.hold_samples;
   }
   return total;
 }

@@ -104,7 +104,6 @@ struct BufferPoolLockStats {
   uint64_t contended = 0;    // try_lock failed; the thread had to block
   uint64_t wait_ns = 0;      // total time blocked acquiring shard mutexes
   uint64_t hold_ns = 0;      // total time shard mutexes were held
-  uint64_t hold_samples = 0; // acquisitions the hold timer actually covered
 };
 
 class BufferPool {

@@ -205,8 +205,8 @@ std::vector<uint64_t> CheckpointManager::ScanGenerations(
   return gens;
 }
 
-Status CheckpointManager::SaveManifest(const CheckpointManifest& manifest,
-                                       const std::string& path) {
+Result<FileIdentity> CheckpointManager::SaveManifest(
+    const CheckpointManifest& manifest, const std::string& path) {
   AtomicWriteSites sites;
   sites.mid_payload = kCrashMidManifest;
   return WriteFramedFile(path, kManifestMagic, kManifestVersion,
@@ -231,7 +231,6 @@ Status CheckpointManager::Checkpoint(
     return Status::InvalidArgument("model_paths count != registered workloads");
   }
   MetricsRegistry& reg = MetricsRegistry::Global();
-  CrashPointRegistry& crash = CrashPointRegistry::Global();
   CheckpointManifest manifest;
   manifest.generation = latest_generation_ + 1;
   if (system.governor() != nullptr) {
@@ -244,27 +243,13 @@ Status CheckpointManager::Checkpoint(
     w.revision = system.model(i).revision();
     w.fingerprint = system.model(i).fingerprint();
     w.model_path = model_paths[i];
-    Status s = system.model(i).Save(w.model_path);
-    if (!s.ok()) {
+    Result<ModelFiles> files = PublishModel(system.model(i), w.model_path);
+    if (!files.ok()) {
       reg.counter("recovery.checkpoint_failures").Increment();
-      return s;
+      return files.status();
     }
-    // The window a kill would land in between the primary's rename and the
-    // sidecar copy: the manifest from generation N-1 then describes an older
-    // primary than the one on disk.
-    if (crash.Check(kCrashPostRenamePreSidecar)) {
-      reg.counter("recovery.checkpoint_failures").Increment();
-      return Status::Aborted(
-          "simulated crash between model publish and lkg sidecar: " +
-          w.model_path);
-    }
-    s = CopyFileAtomic(w.model_path, w.model_path + ".lkg");
-    if (!s.ok()) {
-      reg.counter("recovery.checkpoint_failures").Increment();
-      return s;
-    }
-    w.primary = FileIdentityOf(w.model_path);
-    w.lkg = FileIdentityOf(w.model_path + ".lkg");
+    w.primary = files->primary;
+    w.lkg = files->sidecar;
     w.watchdog = system.watchdog(i).CheckpointState();
     if (system.adaptation() != nullptr) {
       w.has_adaptation = true;
@@ -284,16 +269,15 @@ Status CheckpointManager::Checkpoint(
     manifest.cache.push_back(std::move(e));
   }
 
-  Status s =
+  Result<FileIdentity> written =
       SaveManifest(manifest, ManifestPath(dir_, manifest.generation));
-  if (!s.ok()) {
+  if (!written.ok()) {
     reg.counter("recovery.checkpoint_failures").Increment();
-    return s;
+    return written.status();
   }
   latest_generation_ = manifest.generation;
   reg.counter("recovery.checkpoints_written").Increment();
-  reg.histogram("recovery.checkpoint_bytes")
-      .Record(FileIdentityOf(ManifestPath(dir_, manifest.generation)).size);
+  reg.histogram("recovery.checkpoint_bytes").Record(written->size);
   PYTHIA_TRACE_INSTANT_CTX("recovery", "checkpoint", "generation",
                            manifest.generation);
   PruneOldGenerations();

@@ -1,27 +1,25 @@
 // Crash-consistent checkpointing of a running PythiaSystem.
 //
-// PRs 1-7 made the individual artifacts durable — the .pywm model cache is
-// CRC-framed and published atomically, a .lkg sidecar survives a corrupted
-// primary — but the *system* state around those artifacts (which revision
-// each workload is serving, what the watchdog had concluded about its
-// health, which degradation rung the governor sat on, and the memoized
-// prediction plans worth keeping warm) died with the process. A restart
-// therefore came back amnesiac: healthy-by-default watchdogs, a cold plan
-// cache, and model revisions restarting at zero so no memoized state could
-// ever be trusted across runs.
+// The model store (core/predictor.h) keeps each model's files durable; the
+// *system* state around them — which revision each workload serves, what
+// the watchdog concluded about its health, the governor's degradation rung
+// and the memoized plans worth keeping warm — would otherwise die with the
+// process, and a restart would come back with healthy-by-default
+// watchdogs, a cold plan cache and revisions restarting at zero.
 //
-// The checkpoint manifest fixes that. It is a single versioned, CRC-stamped
-// file in the durable frame every model file also uses (storage/durable.h:
-// WriteFramedFile publishes it through the one atomic gateway — serialize
-// to memory, .tmp, fsync, rename — and ReadFramedFile verifies it), with
-// its payload written and parsed by the bounds-checked byte codec
-// (util/bytes.h). It holds, per generation:
+// The checkpoint manifest keeps that state. It is one versioned file in the
+// CRC frame every model file also uses (storage/durable.h: WriteFramedFile
+// publishes it through the one atomic gateway — serialize to memory, .tmp,
+// fsync, rename — and ReadFramedFile verifies it), with its payload written
+// and parsed by the bounds-checked byte codec (util/bytes.h). It holds, per
+// generation:
 //
 //  - per workload: the served model revision, its training fingerprint, the
 //    model cache path and the byte identity (size + CRC) of the primary and
-//    .lkg files *as the manifest saw them* — recovery compares on-disk
-//    identity against these records to decide whether the files on disk are
-//    the checkpointed ones or newer survivors of a crash mid-publish;
+//    .lkg files as the publish wrote them — recovery compares the identity
+//    of the bytes it serves against the primary's record to decide whether
+//    they are the checkpointed ones or newer survivors of a crash
+//    mid-publish;
 //  - the watchdog state machine per workload (health, ratio window,
 //    probation counters) so a demoted model does not come back healthy;
 //  - the adaptation state-machine summary per workload (phase, cooldown,
@@ -68,7 +66,7 @@ struct CheckpointWorkloadState {
   uint64_t fingerprint = 0;  // WorkloadModel::Fingerprint of the config
   std::string model_path;    // primary .pywm path; .lkg sidecar implied
   FileIdentity primary;      // identity of model_path when manifested
-  FileIdentity lkg;          // identity of model_path + ".lkg"
+  FileIdentity lkg;          // identity of the sidecar (recorded, not read)
   WatchdogCheckpointState watchdog;
   bool has_adaptation = false;
   AdaptationCheckpointSummary adaptation;
@@ -98,31 +96,30 @@ class CheckpointManager {
   CheckpointManager(std::string dir, const CheckpointOptions& options);
 
   // Captures `system` into generation latest_generation()+1. model_paths[i]
-  // is workload i's primary cache path; the live model is Save()d there and
-  // mirrored to the .lkg sidecar first (crash sites
+  // is workload i's primary cache path; the live model is published there
+  // with its .lkg sidecar first (PublishModel, core/predictor.h: crash sites
   // pre_tmp_write / mid_payload / pre_rename fire inside the save,
-  // post_rename_pre_sidecar between the publish and the sidecar copy,
-  // mid_manifest inside the manifest write). Any Aborted status propagates
-  // untouched — the simulated process is dead and must not "recover" in the
-  // same call.
+  // post_rename_pre_sidecar between the publish and the sidecar write), and
+  // the identities the publish returns go into the manifest (mid_manifest
+  // fires inside its write). Any Aborted status propagates untouched — the
+  // simulated process is dead and must not "recover" in the same call.
   Status Checkpoint(PythiaSystem& system,
                     const std::vector<std::string>& model_paths);
 
   // Highest generation committed (by this manager or found on disk at
   // construction); 0 when none.
   uint64_t latest_generation() const { return latest_generation_; }
-  const std::string& dir() const { return dir_; }
-  const CheckpointOptions& options() const { return options_; }
 
   // --- Manifest file format (shared with core/recovery.h) ----------------
 
   static std::string ManifestPath(const std::string& dir, uint64_t generation);
   // Parses "manifest-<gen>.pyck"; false when `name` is not a manifest name.
   static bool ParseManifestName(const std::string& name, uint64_t* generation);
-  // Serializes + durably publishes `manifest` at `path`. The manifest's own
-  // atomic write exposes kCrashMidManifest as its mid-payload site.
-  static Status SaveManifest(const CheckpointManifest& manifest,
-                             const std::string& path);
+  // Serializes + durably publishes `manifest` at `path`, returning the
+  // identity of what reached disk. The manifest's own atomic write exposes
+  // kCrashMidManifest as its mid-payload site.
+  static Result<FileIdentity> SaveManifest(const CheckpointManifest& manifest,
+                                           const std::string& path);
   // Loads and verifies. DataCorruption on a torn/bit-flipped/unparseable
   // file (caller decides whether to quarantine), FailedPrecondition on a
   // clean format-version mismatch.

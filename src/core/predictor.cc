@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <filesystem>
 #include <map>
 #include <numeric>
 
@@ -545,28 +544,25 @@ void WorkloadModel::WritePayload(ByteWriter* w) {
   }
 }
 
-Status WorkloadModel::Save(const std::string& path) {
-  // Published through the durable-write gateway (storage/durable.h): tmp
-  // write -> fsync -> rename, with the crash-point windows named so a kill
-  // sweep can land in each of them. A crash or torn write leaves either the
-  // old file or a .tmp that no loader ever opens — never a half-written
-  // .pywm.
+Result<FileIdentity> WorkloadModel::Save(const std::string& path,
+                                        std::string* image) {
   ByteWriter payload;
   WritePayload(&payload);
   AtomicWriteSites sites;
   sites.pre_tmp = kCrashPreTmpWrite;
   sites.mid_payload = kCrashMidPayload;
   sites.pre_rename = kCrashPreRename;
-  Status s = WriteFramedFile(path, kModelMagic, kModelVersion,
-                             payload.bytes(), sites);
-  IntegrityCounter(s.ok() ? "model.atomic_saves" : "model.failed_saves")
+  Result<FileIdentity> written = WriteFramedFile(
+      path, kModelMagic, kModelVersion, payload.bytes(), sites, image);
+  IntegrityCounter(written.ok() ? "model.atomic_saves" : "model.failed_saves")
       .Increment();
-  return s;
+  return written;
 }
 
-Result<WorkloadModel> WorkloadModel::Load(const std::string& path) {
+Result<WorkloadModel> WorkloadModel::Load(const std::string& path,
+                                          std::string* image) {
   Result<std::string> payload =
-      ReadFramedFile(path, kModelMagic, kModelVersion);
+      ReadFramedFile(path, kModelMagic, kModelVersion, image);
   Status status = payload.status();
   if (payload.ok()) {
     ByteReader reader(payload.value());
@@ -671,64 +667,89 @@ Result<WorkloadModel> WorkloadModel::ParsePayload(ByteReader* r) {
   return wm;
 }
 
+std::string SidecarPath(const std::string& path) { return path + ".lkg"; }
+
+Result<ModelFiles> PublishModel(WorkloadModel& model, const std::string& path) {
+  std::string image;
+  Result<FileIdentity> primary = model.Save(path, &image);
+  if (!primary.ok()) return primary.status();
+  // The window a kill would land in between the primary's rename and the
+  // sidecar write: the sidecar (and any manifest) still describes an older
+  // primary than the one on disk.
+  if (CrashPointRegistry::Global().Check(kCrashPostRenamePreSidecar)) {
+    return Status::Aborted(
+        "simulated crash between model publish and lkg sidecar: " + path);
+  }
+  Result<FileIdentity> sidecar =
+      WriteFileAtomic(SidecarPath(path), image.data(), image.size());
+  if (!sidecar.ok()) return sidecar.status();
+  IntegrityCounter("model.lkg_snapshots").Increment();
+  return ModelFiles{primary.value(), sidecar.value()};
+}
+
+Result<StoredModel> LoadStoredModel(const std::string& path,
+                                    uint64_t fingerprint) {
+  const std::string sidecar = SidecarPath(path);
+  std::string image;
+  Result<WorkloadModel> primary = WorkloadModel::Load(path, &image);
+  if (primary.ok() && primary->fingerprint() == fingerprint) {
+    // A healthy primary is the freshest possible snapshot: make the sidecar
+    // its copy again if a crash left it stale, or damage or cleanup lost it.
+    Result<std::string> copy = ReadFileBytes(sidecar);
+    if ((!copy.ok() || copy.value() != image) &&
+        WriteFileAtomic(sidecar, image.data(), image.size()).ok()) {
+      IntegrityCounter("model.lkg_snapshots").Increment();
+    }
+    return StoredModel{std::move(primary.value()), false,
+                       FileIdentity::Of(image)};
+  }
+  // The primary is missing, corrupt (Load quarantined it) or another
+  // configuration's model: the validated snapshot is cheaper than a retrain
+  // and holds weights the system already trusted.
+  Result<WorkloadModel> restored = WorkloadModel::Load(sidecar, &image);
+  if (restored.ok() && restored->fingerprint() == fingerprint) {
+    IntegrityCounter("model.lkg_restores").Increment();
+    PYTHIA_TRACE_INSTANT_CTX("model", "lkg_restore");
+    // Re-publish the snapshot's bytes as the primary so the next start
+    // loads it directly instead of restoring again.
+    WriteFileAtomic(path, image.data(), image.size());
+    return StoredModel{std::move(restored.value()), true,
+                       FileIdentity::Of(image)};
+  }
+  if (!primary.ok()) return primary.status();
+  return Status::FailedPrecondition("stored model has another fingerprint: " +
+                                    path);
+}
+
 Result<WorkloadModel> GetOrTrainWorkloadModel(const std::string& cache_path,
                                               const Database& db,
                                               const Workload& workload,
                                               const PredictorOptions& options) {
   const uint64_t want =
       WorkloadModel::Fingerprint(options, workload, db.TotalPages());
-  const std::string lkg_path = cache_path + ".lkg";
-  Result<WorkloadModel> cached = WorkloadModel::Load(cache_path);
-  if (cached.ok() && cached->fingerprint() == want) {
+  Result<StoredModel> stored = LoadStoredModel(cache_path, want);
+  if (stored.ok()) {
     // Threshold may be swept without retraining: adopt the requested one.
-    cached->set_threshold(options.threshold);
-    // A healthy primary is also the freshest possible snapshot: (re)create
-    // the last-known-good copy if a crash or cleanup lost it.
-    if (!std::filesystem::exists(lkg_path) &&
-        CopyFileAtomic(cache_path, lkg_path).ok()) {
-      IntegrityCounter("model.lkg_snapshots").Increment();
-    }
-    return cached;
+    stored->model.set_threshold(options.threshold);
+    return std::move(stored->model);
   }
-  // The primary cache is corrupt (Load quarantined it). Before falling all
-  // the way back to a from-scratch retrain, try the last-known-good
-  // snapshot: restoring a validated snapshot is strictly cheaper and keeps
-  // serving the same weights the system already trusted.
-  if (!cached.ok() && cached.status().code() == StatusCode::kDataCorruption) {
-    Result<WorkloadModel> snapshot = WorkloadModel::Load(lkg_path);
-    if (snapshot.ok() && snapshot->fingerprint() == want) {
-      IntegrityCounter("model.lkg_restores").Increment();
-      PYTHIA_TRACE_INSTANT_CTX("model", "lkg_restore");
-      // Re-publish the snapshot as the primary so the next process loads
-      // it directly instead of restoring again.
-      CopyFileAtomic(lkg_path, cache_path);
-      snapshot->set_threshold(options.threshold);
-      return snapshot;
-    }
-    // No snapshot validates — self-heal by retraining from scratch.
+  if (stored.status().code() == StatusCode::kDataCorruption) {
+    // No snapshot validates either — self-heal by retraining from scratch.
     IntegrityCounter("model.retrains_after_corruption").Increment();
     PYTHIA_TRACE_INSTANT_CTX("model", "retrain_after_corruption");
   }
   Result<WorkloadModel> fresh = WorkloadModel::Train(db, workload, options);
   if (!fresh.ok()) return fresh;
   fresh->set_fingerprint(want);
-  Status s = fresh->Save(cache_path);
-  if (s.code() == StatusCode::kAborted) {
+  const Status published = PublishModel(*fresh, cache_path).status();
+  if (published.code() == StatusCode::kAborted) {
     // A crash site fired inside the publish: the simulated process is dead,
     // so the freshly trained weights must not escape into memory either.
-    return s;
+    return published;
   }
-  if (!s.ok()) {
+  if (!published.ok()) {
     std::fprintf(stderr, "warning: could not cache model to %s: %s\n",
-                 cache_path.c_str(), s.ToString().c_str());
-  } else if (CrashPointRegistry::Global().Check(kCrashPostRenamePreSidecar)) {
-    // The primary published but the kill landed before the .lkg sidecar
-    // copy — the exact window the recovery path must heal on next start.
-    return Status::Aborted(
-        "simulated crash between model publish and lkg sidecar: " +
-        cache_path);
-  } else if (CopyFileAtomic(cache_path, lkg_path).ok()) {
-    IntegrityCounter("model.lkg_snapshots").Increment();
+                 cache_path.c_str(), published.ToString().c_str());
   }
   return fresh;
 }

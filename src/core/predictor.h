@@ -24,6 +24,7 @@
 #include "core/model.h"
 #include "core/trace_processor.h"
 #include "core/vocab.h"
+#include "storage/durable.h"
 #include "util/bytes.h"
 #include "util/status.h"
 #include "workload/generator.h"
@@ -149,8 +150,10 @@ class WorkloadModel {
   // published with WriteFramedFile (storage/durable.h): the shared
   // magic/version/size/CRC-32 frame, written atomically (temp file +
   // rename), so a crashed or torn write can never leave a half-written
-  // model where a loader will find it.
-  Status Save(const std::string& path);
+  // model where a loader will find it. Returns the identity of the file as
+  // it reached disk; `image`, when given, receives those bytes.
+  Result<FileIdentity> Save(const std::string& path,
+                            std::string* image = nullptr);
   // Loads and verifies a saved model: ReadFramedFile, then a parse through
   // the bounds-checked ByteReader (util/bytes.h), so a length or count the
   // file does not back fails the parse instead of sizing a container. A
@@ -159,8 +162,10 @@ class WorkloadModel {
   // DataCorruption returned, so the caller falls back to retraining instead
   // of aborting; a clean version mismatch returns FailedPrecondition
   // without quarantining. Counters for both paths live under "model.*" in
-  // MetricsRegistry (util/metrics_registry.h).
-  static Result<WorkloadModel> Load(const std::string& path);
+  // MetricsRegistry (util/metrics_registry.h). `image`, when given,
+  // receives the bytes of a file that loads.
+  static Result<WorkloadModel> Load(const std::string& path,
+                                    std::string* image = nullptr);
 
   // Fingerprint of (options, workload shape, db size) used to validate
   // cached models.
@@ -253,10 +258,44 @@ class WorkloadModel {
   uint64_t revision_ = 0;
 };
 
-// Loads a cached model from `cache_path` when its fingerprint matches the
-// requested configuration; otherwise trains from scratch and writes the
-// cache. All randomness is seeded, so a cached model is bit-identical to a
-// fresh one — the cache only saves CPU time across benchmark binaries.
+// The model store: a workload's model lives in a primary file and a .lkg
+// sidecar, the last known good copy of the primary's bytes. These two steps
+// are the only code that writes the pair or chooses between its files.
+
+// Identities of the two files a publish left on disk.
+struct ModelFiles {
+  FileIdentity primary;
+  FileIdentity sidecar;
+};
+
+// Save at `path`, then the post_rename_pre_sidecar crash site (Aborted when
+// it fires), then the sidecar written from the bytes the primary published,
+// a torn prefix included.
+Result<ModelFiles> PublishModel(WorkloadModel& model, const std::string& path);
+
+// A served model, whether the sidecar served it, and the identity of the
+// bytes it was parsed from (a sidecar's bytes are its primary's).
+struct StoredModel {
+  WorkloadModel model;
+  bool from_sidecar = false;
+  FileIdentity identity;
+};
+
+// Serves the primary at `path` when it loads with `fingerprint`, rewriting a
+// sidecar that differs from it; else the sidecar, republished as the primary
+// by a raw write of its bytes (not a Save). When neither serves: the
+// primary's load failure (DataCorruption once quarantined), or
+// FailedPrecondition for another configuration's model.
+Result<StoredModel> LoadStoredModel(const std::string& path,
+                                    uint64_t fingerprint);
+
+std::string SidecarPath(const std::string& path);
+
+// The stored model (LoadStoredModel) at the requested threshold when one
+// matches the configuration; otherwise trains from scratch and publishes it
+// (PublishModel). All randomness is seeded, so a cached model is
+// bit-identical to a fresh one — the cache only saves CPU time across
+// benchmark binaries.
 Result<WorkloadModel> GetOrTrainWorkloadModel(const std::string& cache_path,
                                               const Database& db,
                                               const Workload& workload,

@@ -1,6 +1,5 @@
 #include "core/recovery.h"
 
-#include <algorithm>
 #include <chrono>
 #include <filesystem>
 
@@ -31,7 +30,7 @@ uint64_t RecoveryManager::SweepTmpResidue(
   }
   for (const RecoverySpec& spec : specs) {
     if (RemoveFileIfExists(spec.model_path + ".tmp")) ++removed;
-    if (RemoveFileIfExists(spec.model_path + ".lkg.tmp")) ++removed;
+    if (RemoveFileIfExists(SidecarPath(spec.model_path) + ".tmp")) ++removed;
   }
   if (removed > 0) {
     MetricsRegistry::Global()
@@ -92,64 +91,38 @@ Result<RecoveryReport> RecoveryManager::Recover(
         (report.manifest_loaded && i < manifest.workloads.size())
             ? &manifest.workloads[i]
             : nullptr;
-    const std::string lkg_path = spec.model_path + ".lkg";
     RecoveredWorkload out;
+    // No manifest, a newer survivor of a crash mid-publish, or a retrain
+    // serves past the manifest revision, so no checkpointed state can be
+    // misattributed to it.
+    out.revision = rec != nullptr ? rec->revision + 1 : 0;
 
-    // Adopting the manifest revision (and with it the warm cache and the
-    // checkpointed watchdog conclusions) requires the artifact on disk to
-    // be byte-identical to the one the manifest described; anything else —
-    // no manifest, or a newer survivor of a crash mid-publish — serves at
-    // revision + 1 so no checkpointed state can be misattributed to it.
-    const auto settle_revision = [&](const FileIdentity& id) {
-      if (rec != nullptr && id == rec->primary) {
+    Result<StoredModel> stored = LoadStoredModel(spec.model_path, want);
+    Result<WorkloadModel> model = stored.status();
+    if (stored.ok()) {
+      out.source = stored->from_sidecar ? RecoverySource::kLkg
+                                        : RecoverySource::kPrimary;
+      reg.counter(stored->from_sidecar ? "recovery.models_from_lkg"
+                                       : "recovery.models_from_primary")
+          .Increment();
+      // Adopting the manifest revision (and with it the warm cache and the
+      // checkpointed watchdog conclusions) requires the bytes served to be
+      // the ones the manifest recorded for the primary.
+      if (rec != nullptr && stored->identity == rec->primary) {
         out.manifest_match = true;
         out.revision = rec->revision;
-      } else {
-        out.revision = rec != nullptr ? rec->revision + 1 : 0;
       }
-    };
-
-    Result<WorkloadModel> model = WorkloadModel::Load(spec.model_path);
-    if (model.ok() && model->fingerprint() == want) {
-      out.source = RecoverySource::kPrimary;
-      reg.counter("recovery.models_from_primary").Increment();
-      const FileIdentity id = FileIdentityOf(spec.model_path);
-      settle_revision(id);
-      // Make the sidecar current again if the crash window left it behind
-      // (or it never existed).
-      if (!(FileIdentityOf(lkg_path) == id)) {
-        CopyFileAtomic(spec.model_path, lkg_path);
-      }
+      model = std::move(stored->model);
     } else {
-      // A corrupt primary was already quarantined by Load; a fingerprint
-      // mismatch means the file is somebody else's model. Either way, try
-      // the sidecar.
-      Result<WorkloadModel> sidecar = WorkloadModel::Load(lkg_path);
-      if (sidecar.ok() && sidecar->fingerprint() == want) {
-        out.source = RecoverySource::kLkg;
-        reg.counter("recovery.models_from_lkg").Increment();
-        // Identity vs the manifest's *primary* record: the sidecar is a
-        // byte copy of the primary it mirrored, so equality means this is
-        // the checkpointed model.
-        settle_revision(FileIdentityOf(lkg_path));
-        Status s = CopyFileAtomic(lkg_path, spec.model_path);
-        if (s.code() == StatusCode::kAborted) return s;
-        model = std::move(sidecar);
-      } else {
-        out.source = RecoverySource::kRetrained;
-        reg.counter("recovery.models_retrained").Increment();
-        PYTHIA_TRACE_INSTANT_CTX("recovery", "retrain", "workload",
-                                 static_cast<uint64_t>(i));
-        Result<WorkloadModel> fresh =
-            WorkloadModel::Train(*spec.db, *spec.workload, spec.options);
-        if (!fresh.ok()) return fresh.status();
-        fresh->set_fingerprint(want);
-        Status s = fresh->Save(spec.model_path);
-        if (s.code() == StatusCode::kAborted) return s;
-        if (s.ok()) CopyFileAtomic(spec.model_path, lkg_path);
-        out.revision = rec != nullptr ? rec->revision + 1 : 0;
-        model = std::move(fresh);
-      }
+      out.source = RecoverySource::kRetrained;
+      reg.counter("recovery.models_retrained").Increment();
+      PYTHIA_TRACE_INSTANT_CTX("recovery", "retrain", "workload",
+                               static_cast<uint64_t>(i));
+      model = WorkloadModel::Train(*spec.db, *spec.workload, spec.options);
+      if (!model.ok()) return model.status();
+      model->set_fingerprint(want);
+      const Status published = PublishModel(*model, spec.model_path).status();
+      if (published.code() == StatusCode::kAborted) return published;
     }
 
     model->BumpRevisionTo(out.revision);

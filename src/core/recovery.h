@@ -4,29 +4,25 @@
 // serve and at which revision — without ever serving a torn artifact and
 // without ever letting a stale memoized prediction leak across the restart.
 // RecoveryManager encodes that as a fixed decision tree, walked per
-// workload against the newest valid manifest:
+// workload against the newest valid manifest. Which file serves is the
+// model store's walk (LoadStoredModel, core/predictor.h); Recover adds the
+// revision and the restored state:
 //
-//   1. primary .pywm loads clean AND its fingerprint matches the requested
-//      config:
-//        a. on-disk identity (size + CRC) equals the manifest's record
-//           -> this is exactly the checkpointed model: adopt the manifest
-//              revision, restore the watchdog state machine, warm-cache
-//              eligible;
-//        b. identity differs (a newer primary was published after the
-//           manifest committed — the post_rename_pre_sidecar crash window)
-//           -> the weights are valid and newer, so serve them, but at
-//              manifest revision + 1 with no warm cache and a fresh
-//              watchdog: checkpointed conclusions describe a different
-//              model.
-//   2. primary fails to load (Load already quarantined it to .corrupt)
-//      -> try the .lkg sidecar; a clean fingerprint-matching sidecar is
-//         re-published as the primary and the same identity split as 1a/1b
-//         applies, comparing the sidecar's identity against the manifest's
-//         *primary* record (the sidecar is a byte copy of the primary it
-//         mirrored).
-//   3. neither loads -> transparent retrain from the workload spec, served
+//   1. the store serves the primary .pywm (clean, fingerprint-matching) or,
+//      failing that, the .lkg sidecar. The identity (size + CRC) of the
+//      bytes served is compared with the manifest's *primary* record — a
+//      sidecar is a byte copy of the primary it mirrored:
+//        a. equal -> exactly the checkpointed model: adopt the manifest
+//           revision, restore the watchdog state machine, warm-cache
+//           eligible;
+//        b. different (a newer primary was published after the manifest
+//           committed — the post_rename_pre_sidecar crash window) -> serve
+//           the valid, newer weights at manifest revision + 1 with no warm
+//           cache and a fresh watchdog: checkpointed conclusions describe
+//           a different model.
+//   2. neither serves -> transparent retrain from the workload spec, served
 //      at manifest revision + 1 (never a revision the cache has memoized
-//      plans under), published with a fresh sidecar.
+//      plans under), published with a fresh sidecar by PublishModel.
 //
 // Manifests themselves recover the same way the model cache does: the
 // newest generation that passes its CRC frame wins; a torn one is
@@ -60,7 +56,7 @@ namespace pythia {
 class PythiaSystem;
 
 // Everything needed to rebuild one workload's model from nothing: the
-// retrain fallback (branch 3) is a full WorkloadModel::Train against this
+// retrain fallback (branch 2) is a full WorkloadModel::Train against this
 // spec. Pointers are not owned and must outlive the Recover call.
 struct RecoverySpec {
   const Workload* workload = nullptr;
@@ -113,8 +109,6 @@ class RecoveryManager {
   // before calling if their checkpointed state should be adopted.
   Result<RecoveryReport> Recover(PythiaSystem* system,
                                  const std::vector<RecoverySpec>& specs);
-
-  const std::string& dir() const { return dir_; }
 
   // Newest manifest that passes validation, quarantining (renaming to
   // .corrupt) every newer generation that does not. Exposed for tests;

@@ -453,8 +453,6 @@ ParallelReplayResult ReplayParallelFleet(
   result.lock_stats.contended = lock_after.contended - lock_before.contended;
   result.lock_stats.wait_ns = lock_after.wait_ns - lock_before.wait_ns;
   result.lock_stats.hold_ns = lock_after.hold_ns - lock_before.hold_ns;
-  result.lock_stats.hold_samples =
-      lock_after.hold_samples - lock_before.hold_samples;
   return result;
 }
 

@@ -104,16 +104,6 @@ uint64_t CrashPointRegistry::hits(const std::string& site) const {
   return it == hits_.end() ? 0 : it->second;
 }
 
-std::vector<std::string> CrashPointRegistry::VisitedSites() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> out;
-  out.reserve(hits_.size());
-  for (const auto& [site, count] : hits_) {
-    if (count > 0) out.push_back(site);
-  }
-  return out;
-}
-
 void CrashPointRegistry::set_fault_injector(FaultInjector* injector) {
   std::lock_guard<std::mutex> lock(mu_);
   injector_ = injector;
@@ -129,8 +119,13 @@ CrashPointRegistry& CrashPointRegistry::Global() {
   return *registry;
 }
 
-Status WriteFileAtomic(const std::string& path, const void* data, size_t len,
-                       const AtomicWriteSites& sites) {
+FileIdentity FileIdentity::Of(std::string_view bytes) {
+  return {true, bytes.size(), Crc32(bytes.data(), bytes.size())};
+}
+
+Result<FileIdentity> WriteFileAtomic(const std::string& path, const void* data,
+                                     size_t len,
+                                     const AtomicWriteSites& sites) {
   CrashPointRegistry& reg = CrashPointRegistry::Global();
   const char* bytes = static_cast<const char*>(data);
 
@@ -195,24 +190,30 @@ Status WriteFileAtomic(const std::string& path, const void* data, size_t len,
     std::remove(tmp.c_str());
     return Status::IoError("rename failed: " + tmp + " -> " + path);
   }
-  return Status::OK();
+  return FileIdentity::Of(std::string_view(bytes, half + rest));
 }
 
-Status WriteFramedFile(const std::string& path, uint32_t magic,
-                       uint32_t version, const std::string& payload,
-                       const AtomicWriteSites& sites) {
-  ByteWriter file;
-  file.Pod(magic);
-  file.Pod(version);
-  file.Pod(static_cast<uint64_t>(payload.size()));
-  file.Pod(Crc32(payload.data(), payload.size()));
-  file.Bytes(payload.data(), payload.size());
-  return WriteFileAtomic(path, file.bytes().data(), file.bytes().size(),
-                         sites);
+Result<FileIdentity> WriteFramedFile(const std::string& path, uint32_t magic,
+                                     uint32_t version,
+                                     const std::string& payload,
+                                     const AtomicWriteSites& sites,
+                                     std::string* file) {
+  ByteWriter frame;
+  frame.Pod(magic);
+  frame.Pod(version);
+  frame.Pod(static_cast<uint64_t>(payload.size()));
+  frame.Pod(Crc32(payload.data(), payload.size()));
+  frame.Bytes(payload.data(), payload.size());
+  Result<FileIdentity> written = WriteFileAtomic(
+      path, frame.bytes().data(), frame.bytes().size(), sites);
+  if (written.ok() && file != nullptr) {
+    file->assign(frame.bytes(), 0, written->size);
+  }
+  return written;
 }
 
 Result<std::string> ReadFramedFile(const std::string& path, uint32_t magic,
-                                   uint32_t version) {
+                                   uint32_t version, std::string* file) {
   Result<std::string> bytes = ReadFileBytes(path);
   if (!bytes.ok()) return bytes.status();
   ByteReader header(bytes.value());
@@ -237,6 +238,7 @@ Result<std::string> ReadFramedFile(const std::string& path, uint32_t magic,
   if (Crc32(payload.data(), payload.size()) != crc) {
     return Status::DataCorruption("payload CRC mismatch: " + path);
   }
+  if (file != nullptr) *file = std::move(bytes.value());
   return payload;
 }
 
@@ -247,12 +249,6 @@ bool QuarantineFile(const std::string& path) {
   std::fprintf(stderr, "warning: quarantined corrupt file %s -> %s\n",
                path.c_str(), quarantine.c_str());
   return true;
-}
-
-Status CopyFileAtomic(const std::string& from, const std::string& to) {
-  Result<std::string> bytes = ReadFileBytes(from);
-  if (!bytes.ok()) return bytes.status();
-  return WriteFileAtomic(to, bytes->data(), bytes->size());
 }
 
 Result<std::string> ReadFileBytes(const std::string& path) {
@@ -271,19 +267,11 @@ Result<std::string> ReadFileBytes(const std::string& path) {
 }
 
 FileIdentity FileIdentityOf(const std::string& path) {
-  FileIdentity id;
   Result<std::string> bytes = ReadFileBytes(path);
-  if (!bytes.ok()) return id;
-  id.present = true;
-  id.size = bytes->size();
-  id.crc = Crc32(bytes->data(), bytes->size());
-  return id;
+  return bytes.ok() ? FileIdentity::Of(bytes.value()) : FileIdentity();
 }
 
 bool RemoveFileIfExists(const std::string& path) {
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (!f) return false;
-  f.reset();
   return std::remove(path.c_str()) == 0;
 }
 

@@ -4,16 +4,13 @@
 // quarantine of a file that fails verification — with deterministic
 // crash-point injection and seeded torn-write/rename fault modeling.
 //
-// The simulated device (sim_disk.h) already models torn page writes, but
-// the learned state the system accrues — model weights, checkpoint
-// manifests — lives on the *host* filesystem, written with plain stdio.
-// Before this gateway each writer hand-rolled its own tmp+rename dance and
-// none of them could be killed mid-write in a test. WriteFileAtomic
-// centralizes the discipline:
+// These files live on the *host* filesystem, not the simulated device
+// (sim_disk.h). WriteFileAtomic is their one publish discipline, and it
+// reports the identity of what reached disk so no writer reads a file back:
 //
 //   serialize -> write <path>.tmp -> fflush+fsync -> rename(tmp, path)
 //
-// and threads two chaos hooks through it:
+// Two chaos hooks are threaded through it:
 //
 //  - CrashPointRegistry: a seeded, named-site kill switch modeled on the
 //    FaultInjector. Arming a site makes the Nth arrival at that site return
@@ -39,6 +36,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "storage/fault_injector.h"
@@ -53,7 +51,7 @@ namespace pythia {
 //   pre_tmp_write             before the model .tmp is opened (no residue)
 //   mid_payload               half the model .tmp written (torn .tmp)
 //   pre_rename                model .tmp complete but not published
-//   post_rename_pre_sidecar   primary published, .lkg sidecar not yet copied
+//   post_rename_pre_sidecar   primary published, .lkg sidecar not yet written
 //   mid_manifest              manifest .tmp torn mid-payload
 inline constexpr const char* kCrashPreTmpWrite = "pre_tmp_write";
 inline constexpr const char* kCrashMidPayload = "mid_payload";
@@ -93,8 +91,6 @@ class CrashPointRegistry {
   // Times `site` has been consulted since the last Reset (armed or not) —
   // the sweep's proof that a window was actually exercised.
   uint64_t hits(const std::string& site) const;
-  // Sites consulted at least once since the last Reset, sorted by name.
-  std::vector<std::string> VisitedSites() const;
 
   // Optional durable-fault injector consulted by WriteFileAtomic (torn
   // payloads, rename failures). Not owned; nullptr detaches.
@@ -119,8 +115,24 @@ class CrashPointRegistry {
   FaultInjector* injector_ = nullptr;
 };
 
+// Size + CRC-32 identity of a file's bytes; `present == false` (zeroed size
+// and crc) for a missing file. Checkpoint manifests record it, and recovery
+// compares it to tell the checkpointed model from a valid newer one.
+struct FileIdentity {
+  bool present = false;
+  uint64_t size = 0;
+  uint32_t crc = 0;
+
+  // The identity `bytes` have once they sit on disk.
+  static FileIdentity Of(std::string_view bytes);
+
+  friend bool operator==(const FileIdentity& a, const FileIdentity& b) {
+    return a.present == b.present && a.size == b.size && a.crc == b.crc;
+  }
+};
+
 // Names for the three crash windows inside one WriteFileAtomic call.
-// Leaving a field nullptr skips that consult (e.g. .lkg sidecar copies are
+// Leaving a field nullptr skips that consult (e.g. .lkg sidecar writes are
 // not separately named windows — the post_rename_pre_sidecar site already
 // brackets them).
 struct AtomicWriteSites {
@@ -132,58 +144,49 @@ struct AtomicWriteSites {
 // Atomically publishes `len` bytes at `path` via <path>.tmp + rename,
 // consulting the global CrashPointRegistry at each named window and the
 // registered FaultInjector for silent torn writes / rename failures.
-// Returns Aborted when a crash site fired (disk left as the kill would
-// leave it), IoError on real or injected write/rename failure.
-Status WriteFileAtomic(const std::string& path, const void* data, size_t len,
-                       const AtomicWriteSites& sites = AtomicWriteSites());
+// Returns the identity of what reached disk: all `len` bytes, or under an
+// injected torn write the prefix the device kept. Aborted when a crash site
+// fired (disk left as the kill would leave it), IoError on real or injected
+// write/rename failure.
+Result<FileIdentity> WriteFileAtomic(
+    const std::string& path, const void* data, size_t len,
+    const AtomicWriteSites& sites = AtomicWriteSites());
 
 // The frame every durable file shares (.pywm model files and their .lkg
 // copies, .pyck checkpoint manifests), in host byte order:
 //
 //   [magic u32][version u32][payload size u64][payload CRC-32 u32][payload]
 //
-// WriteFramedFile stamps the header and publishes through WriteFileAtomic.
-Status WriteFramedFile(const std::string& path, uint32_t magic,
-                       uint32_t version, const std::string& payload,
-                       const AtomicWriteSites& sites = AtomicWriteSites());
+// WriteFramedFile stamps the header and publishes through WriteFileAtomic,
+// returning its identity; `file`, when given, receives the bytes that
+// reached disk.
+Result<FileIdentity> WriteFramedFile(
+    const std::string& path, uint32_t magic, uint32_t version,
+    const std::string& payload,
+    const AtomicWriteSites& sites = AtomicWriteSites(),
+    std::string* file = nullptr);
 
-// Reads and verifies a frame, returning its payload. NotFound when the file
-// is missing (IoError when it cannot be read); FailedPrecondition when the
-// magic matches and the version field reads but names another version (a
-// stale file, not a damaged one); DataCorruption for every other defect:
-// bad magic, a header cut short, a size field the file does not back
+// Reads and verifies a frame, returning its payload; `file`, when given,
+// receives the whole verified file. NotFound when the file is missing
+// (IoError when it cannot be read); FailedPrecondition when the magic
+// matches and the version field reads but names another version (a stale
+// file, not a damaged one); DataCorruption for every other defect: bad
+// magic, a header cut short, a size field the file does not back
 // (truncation or trailing bytes) or a CRC mismatch. Whether to quarantine
 // is the caller's decision.
 Result<std::string> ReadFramedFile(const std::string& path, uint32_t magic,
-                                   uint32_t version);
+                                   uint32_t version,
+                                   std::string* file = nullptr);
 
 // Moves a file that failed verification to <path>.corrupt (replacing an
 // older quarantined copy) so no later scan or cache lookup trips on it
 // again, and keeps it for postmortems. Warns on stderr; true when renamed.
 bool QuarantineFile(const std::string& path);
 
-// Raw byte copy `from` -> `to` through WriteFileAtomic (same atomic-publish
-// and durable-fault discipline, no crash windows of its own).
-Status CopyFileAtomic(const std::string& from, const std::string& to);
-
 // Whole-file read; NotFound when missing.
 Result<std::string> ReadFileBytes(const std::string& path);
 
-// Size + CRC-32 identity of a file as it sits on disk. `present == false`
-// (with zeroed size/crc) when the file does not exist. Checkpoint manifests
-// record this for every artifact they describe, and recovery compares it to
-// detect artifacts that are internally valid but not the ones the manifest
-// committed (e.g. a newer model published after the last manifest write).
-struct FileIdentity {
-  bool present = false;
-  uint64_t size = 0;
-  uint32_t crc = 0;
-
-  friend bool operator==(const FileIdentity& a, const FileIdentity& b) {
-    return a.present == b.present && a.size == b.size && a.crc == b.crc;
-  }
-};
-
+// Identity of the file at `path` as it sits on disk (read back in full).
 FileIdentity FileIdentityOf(const std::string& path);
 
 // Removes `path` if it exists; true when a file was actually removed.

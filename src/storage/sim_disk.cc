@@ -32,8 +32,12 @@ uint32_t LoadU32(const uint8_t* p) {
 }
 
 std::string PageName(PageId page) {
-  return "(" + std::to_string(page.object_id) + "," +
-         std::to_string(page.page_no) + ")";
+  std::string name = "(";
+  name += std::to_string(page.object_id);
+  name += ',';
+  name += std::to_string(page.page_no);
+  name += ')';
+  return name;
 }
 
 }  // namespace

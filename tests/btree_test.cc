@@ -156,7 +156,9 @@ TEST_P(BTreeFanoutTest, CorrectAcrossFanouts) {
     EXPECT_EQ(got, want) << "fanout " << GetParam() << " key " << probe;
   }
   // Larger fanout => shallower tree.
-  if (GetParam() >= 64) EXPECT_LE(index.height(), 3u);
+  if (GetParam() >= 64) {
+    EXPECT_LE(index.height(), 3u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Fanouts, BTreeFanoutTest,

@@ -492,7 +492,6 @@ TEST(ShardedPoolTest, LockProfilingCountsAcquisitions) {
   const BufferPoolLockStats lock = pool.lock_stats();
   EXPECT_GE(lock.acquisitions, 20u);
   EXPECT_EQ(lock.contended, 0u);  // single-threaded: try_lock always wins
-  EXPECT_EQ(lock.hold_samples, lock.acquisitions);  // every hold is timed
   EXPECT_GT(lock.hold_ns, 0u);
   pool.ResetStats();
   EXPECT_EQ(pool.lock_stats().acquisitions, 0u);

@@ -188,7 +188,8 @@ TEST_F(CheckpointRecoveryTest, AtomicWriteResiduePerCrashSite) {
   // pre_tmp_write: nothing on disk at all.
   reg.Reset();
   reg.Arm(kCrashPreTmpWrite);
-  Status s = WriteFileAtomic(path, payload.data(), payload.size(), sites);
+  Status s =
+      WriteFileAtomic(path, payload.data(), payload.size(), sites).status();
   EXPECT_EQ(s.code(), StatusCode::kAborted);
   EXPECT_FALSE(std::filesystem::exists(path));
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
@@ -196,7 +197,7 @@ TEST_F(CheckpointRecoveryTest, AtomicWriteResiduePerCrashSite) {
   // mid_payload: a torn .tmp, never the published path.
   reg.Reset();
   reg.Arm(kCrashMidPayload);
-  s = WriteFileAtomic(path, payload.data(), payload.size(), sites);
+  s = WriteFileAtomic(path, payload.data(), payload.size(), sites).status();
   EXPECT_EQ(s.code(), StatusCode::kAborted);
   EXPECT_FALSE(std::filesystem::exists(path));
   ASSERT_TRUE(std::filesystem::exists(path + ".tmp"));
@@ -206,7 +207,7 @@ TEST_F(CheckpointRecoveryTest, AtomicWriteResiduePerCrashSite) {
   // pre_rename: a complete .tmp, still unpublished.
   reg.Reset();
   reg.Arm(kCrashPreRename);
-  s = WriteFileAtomic(path, payload.data(), payload.size(), sites);
+  s = WriteFileAtomic(path, payload.data(), payload.size(), sites).status();
   EXPECT_EQ(s.code(), StatusCode::kAborted);
   EXPECT_FALSE(std::filesystem::exists(path));
   ASSERT_TRUE(std::filesystem::exists(path + ".tmp"));
@@ -247,7 +248,7 @@ TEST_F(CheckpointRecoveryTest, InjectedRenameFailureLeavesNoResidue) {
   FaultInjector injector(config);
   CrashPointRegistry::Global().set_fault_injector(&injector);
   const std::string payload(512, 'z');
-  Status s = WriteFileAtomic(path, payload.data(), payload.size());
+  Status s = WriteFileAtomic(path, payload.data(), payload.size()).status();
   EXPECT_EQ(s.code(), StatusCode::kIoError);
   EXPECT_FALSE(std::filesystem::exists(path));
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
@@ -394,6 +395,53 @@ TEST_F(CheckpointRecoveryTest, GenerationsAreMonotonicAndPruned) {
   EXPECT_EQ(resumed.latest_generation(), 3u);
   ASSERT_TRUE(resumed.Checkpoint(*system, {model_path}).ok());
   EXPECT_EQ(resumed.latest_generation(), 4u);
+}
+
+// A durable-fault config whose first write (a checkpoint's primary) is torn
+// and whose next two (the sidecar and the manifest) are not.
+FaultConfig TornPrimaryOnly() {
+  FaultConfig config;
+  config.durable_torn_write_prob = 0.5;
+  for (config.seed = 0;; ++config.seed) {
+    FaultInjector probe(config);
+    if (probe.OnDurableWrite().torn_write &&
+        !probe.OnDurableWrite().torn_write &&
+        !probe.OnDurableWrite().torn_write) {
+      return config;
+    }
+  }
+}
+
+TEST_F(CheckpointRecoveryTest, ManifestRecordsTheIdentitiesOnDisk) {
+  // The manifest records what each publish reported reaching disk, so it
+  // agrees with the files as they sit there, a torn primary included.
+  uint64_t whole_size = 0;
+  for (const bool torn : {false, true}) {
+    const std::string dir = NewDir(torn ? "identity_torn" : "identity");
+    const std::string model_path = dir + "/wm.pywm";
+    FaultInjector injector(TornPrimaryOnly());
+    if (torn) CrashPointRegistry::Global().set_fault_injector(&injector);
+    auto system = MakeSystem();
+    CheckpointManager mgr(dir, CheckpointOptions());
+    ASSERT_TRUE(mgr.Checkpoint(*system, {model_path}).ok());
+    CrashPointRegistry::Global().set_fault_injector(nullptr);
+
+    const std::string manifest_path = CheckpointManager::ManifestPath(dir, 1);
+    Result<CheckpointManifest> manifest =
+        CheckpointManager::LoadManifest(manifest_path);
+    ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+    const CheckpointWorkloadState& w = manifest->workloads[0];
+    EXPECT_TRUE(w.primary == FileIdentityOf(model_path)) << torn;
+    EXPECT_TRUE(w.lkg == FileIdentityOf(model_path + ".lkg")) << torn;
+    // The sidecar is a byte copy of the primary as it reached disk.
+    EXPECT_TRUE(w.lkg == w.primary) << torn;
+    if (torn) {
+      EXPECT_EQ(injector.stats().injected_durable_torn_writes, 1u);
+      EXPECT_LT(w.primary.size, whole_size);
+    } else {
+      whole_size = w.primary.size;
+    }
+  }
 }
 
 // --- Recovery decision tree ----------------------------------------------
@@ -595,6 +643,22 @@ TEST_F(CheckpointRecoveryTest, RecoveryWithNoManifestRetrainsAtRevisionZero) {
   EXPECT_EQ(report->workloads[0].source, RecoverySource::kRetrained);
   EXPECT_EQ(report->workloads[0].revision, 0u);
   EXPECT_EQ(restarted.num_workloads(), 1u);
+}
+
+TEST_F(CheckpointRecoveryTest, RetrainPublishDiesAtTheSidecarCrashSite) {
+  // Recovery's retrain publishes through the same step as a checkpoint, so
+  // a kill between the primary's publish and its sidecar lands there too.
+  const std::string dir = NewDir("rec_retrain_crash");
+  const std::string model_path = dir + "/wm.pywm";
+  CrashPointRegistry::Global().Arm(kCrashPostRenamePreSidecar);
+  PythiaSystem restarted(nullptr);
+  RecoveryManager rm(dir);
+  Result<RecoveryReport> report =
+      rm.Recover(&restarted, {SpecFor(model_path)});
+  EXPECT_EQ(report.status().code(), StatusCode::kAborted);
+  EXPECT_TRUE(std::filesystem::exists(model_path));
+  EXPECT_FALSE(std::filesystem::exists(model_path + ".lkg"));
+  EXPECT_EQ(restarted.num_workloads(), 0u);
 }
 
 TEST_F(CheckpointRecoveryTest, RecoveryCountersAdvance) {

@@ -774,6 +774,79 @@ TEST(ModelIntegrityTest, BitFlippedCacheIsRestoredFromLastKnownGood) {
   std::remove((path + ".lkg").c_str());
 }
 
+TEST(ModelIntegrityTest, MissingPrimaryIsServedFromLastKnownGood) {
+  // A primary that is gone (not corrupt) is healed from the .lkg snapshot
+  // the same way: the snapshot's weights serve, nothing retrains or Saves,
+  // and the snapshot's bytes are republished as the primary.
+  auto db = BuildDsbDatabase(DsbConfig{5, 42});
+  WorkloadOptions wopts;
+  wopts.num_queries = 30;
+  wopts.test_fraction = 0.1;
+  Result<Workload> wl = GenerateWorkload(*db, TemplateId::kDsb91, wopts);
+  ASSERT_TRUE(wl.ok());
+  PredictorOptions popts;
+  popts.epochs = 1;
+  popts.num_threads = 1;
+  const std::string path = ::testing::TempDir() + "/lkgonly.pywm";
+  std::remove(path.c_str());
+  std::remove((path + ".lkg").c_str());
+
+  Result<WorkloadModel> first =
+      GetOrTrainWorkloadModel(path, *db, *wl, popts);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  const std::vector<std::string>& probe =
+      wl->queries[wl->test_indices[0]].tokens;
+  const std::unordered_set<PageId> want = first->Predict(probe);
+  std::remove(path.c_str());
+
+  const ModelIntegrityCounters before = ModelIntegritySnapshot();
+  Result<WorkloadModel> served =
+      GetOrTrainWorkloadModel(path, *db, *wl, popts);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  const ModelIntegrityCounters after = ModelIntegritySnapshot();
+  EXPECT_EQ(after.atomic_saves, before.atomic_saves);
+  EXPECT_EQ(after.lkg_restores, before.lkg_restores + 1);
+  EXPECT_EQ(served->Predict(probe), want);
+  EXPECT_TRUE(FileIdentityOf(path) == FileIdentityOf(path + ".lkg"));
+  std::remove(path.c_str());
+  std::remove((path + ".lkg").c_str());
+}
+
+TEST(ModelIntegrityTest, StaleSidecarIsRewrittenFromPrimary) {
+  // A valid sidecar that is not the primary's copy (a crash between the
+  // primary's publish and the sidecar write leaves one) is rewritten from
+  // the primary that serves.
+  auto db = BuildDsbDatabase(DsbConfig{5, 42});
+  WorkloadOptions wopts;
+  wopts.num_queries = 30;
+  wopts.test_fraction = 0.1;
+  Result<Workload> wl = GenerateWorkload(*db, TemplateId::kDsb91, wopts);
+  ASSERT_TRUE(wl.ok());
+  PredictorOptions popts;
+  popts.epochs = 1;
+  popts.num_threads = 1;
+  const std::string path = ::testing::TempDir() + "/stalelkg.pywm";
+  std::remove(path.c_str());
+  std::remove((path + ".lkg").c_str());
+
+  Result<WorkloadModel> first =
+      GetOrTrainWorkloadModel(path, *db, *wl, popts);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  WorkloadModel older = first->Clone();
+  older.set_threshold(popts.threshold + 0.2f);
+  ASSERT_TRUE(older.Save(path + ".lkg").ok());
+  ASSERT_FALSE(FileIdentityOf(path) == FileIdentityOf(path + ".lkg"));
+
+  const ModelIntegrityCounters before = ModelIntegritySnapshot();
+  ASSERT_TRUE(GetOrTrainWorkloadModel(path, *db, *wl, popts).ok());
+  const ModelIntegrityCounters after = ModelIntegritySnapshot();
+  EXPECT_EQ(after.lkg_snapshots, before.lkg_snapshots + 1);
+  EXPECT_EQ(after.lkg_restores, before.lkg_restores);
+  EXPECT_TRUE(FileIdentityOf(path) == FileIdentityOf(path + ".lkg"));
+  std::remove(path.c_str());
+  std::remove((path + ".lkg").c_str());
+}
+
 // ---------------------------------------------------------------------------
 // Prediction-health watchdog.
 // ---------------------------------------------------------------------------

@@ -155,7 +155,9 @@ TEST(NnKernelsTest, SimdDispatchIsReported) {
   // PYTHIA_SIMD environment variable.
   const bool simd = SimdKernelsEnabled();
   const char* env = std::getenv("PYTHIA_SIMD");
-  if (env != nullptr && env[0] == '0') EXPECT_FALSE(simd);
+  if (env != nullptr && env[0] == '0') {
+    EXPECT_FALSE(simd);
+  }
 }
 
 }  // namespace
