@@ -68,8 +68,10 @@ void Run() {
       const QueryRunMetrics m =
           system.RunQuery(workload.queries[ti], mode, PrefetcherOptions{});
       CheckRun(m, mode, ti);
-      if (env.fault_injector() != nullptr) {
-        injected_errors += env.fault_injector()->stats().injected_errors;
+      // One storage channel: channel 0's injector sees every read.
+      if (const FaultInjector* injector =
+              env.os_cache().channel_fault_injector(0)) {
+        injected_errors += injector->stats().injected_errors;
       }
       read_retries += m.pool_stats.read_retries;
       dropped_prefetches += m.prefetch_stats.dropped_faulty;

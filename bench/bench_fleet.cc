@@ -381,7 +381,7 @@ int main(int argc, char** argv) {
         wl18.queries[0], RunMode::kPythia, &pm);
     PrefetcherOptions sp;
     sp.start_delay_us = cfg.base_start_delay_us;
-    const ReplayResult r =
+    const QueryRunMetrics r =
         ReplayQuery(wl18.queries[0].trace, plan, sp, solo.env.get());
     if (!r.status.ok()) {
       std::fprintf(stderr, "solo replay failed: %s\n",

@@ -92,12 +92,14 @@ void CorruptionSweep(const Database& db, const Workload& workload,
     const double median = Summarize(speedups).median;
     if (rate.bit_flip == 0.0) clean_median = median;
     // Injection counts cover the PYTHIA arm: ResetFaults() clears them.
-    const FaultStats injected = env.fault_injector() != nullptr
-                                    ? env.fault_injector()->stats()
-                                    : FaultStats();
+    // The stack has one storage channel, so channel 0 holds every count.
+    const FaultInjector* injector = env.os_cache().channel_fault_injector(0);
+    const FaultStats injected =
+        injector != nullptr ? injector->stats() : FaultStats();
     const uint64_t degraded_queries = system.breaker().stats().rejected;
+    const SimulatedDisk* device = env.os_cache().channel_disk(0);
     const SimulatedDisk::Stats disk =
-        env.disk() != nullptr ? env.disk()->stats() : SimulatedDisk::Stats();
+        device != nullptr ? device->stats() : SimulatedDisk::Stats();
     table.AddRow({TablePrinter::Num(rate.bit_flip, 5),
                   TablePrinter::Num(rate.torn_write, 6),
                   TablePrinter::Num(rate.stale_read, 6),

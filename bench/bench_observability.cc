@@ -75,7 +75,7 @@ SimTime ReplayAll(const std::vector<BenchQuery>& queries,
   for (const BenchQuery& q : queries) {
     if (per_query_track) Tracer::Global().StartQueryTrack();
     env.ColdRestart();
-    const ReplayResult r = ReplayQuery(q.trace, q.prefetch, popts, &env);
+    const QueryRunMetrics r = ReplayQuery(q.trace, q.prefetch, popts, &env);
     if (!r.status.ok()) {
       std::fprintf(stderr, "replay failed: %s\n", r.status.ToString().c_str());
       std::exit(1);

@@ -253,7 +253,7 @@ int main(int argc, char** argv) {
     SimEnvironment env(ChaosSim(cfg.seed));
     PrefetcherOptions popts;
     popts.start_delay_us = 500;
-    const ReplayResult solo =
+    const QueryRunMetrics solo =
         ReplayQuery(workload[0].trace, workload[0].prefetch, popts, &env);
     if (!solo.status.ok()) {
       std::fprintf(stderr, "solo replay failed: %s\n",

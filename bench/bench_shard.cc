@@ -115,7 +115,7 @@ ArmResult RunArm(const ShardConfig& cfg, size_t shards,
                  const std::vector<QueryTrace>& traces) {
   ArmResult arm;
   arm.shards = shards;
-  std::vector<ParallelReplayThread> threads(cfg.num_threads);
+  std::vector<ConcurrentQuery> threads(cfg.num_threads);
   for (size_t t = 0; t < cfg.num_threads; ++t) {
     threads[t].trace = &traces[t];
   }
@@ -125,10 +125,9 @@ ArmResult RunArm(const ShardConfig& cfg, size_t shards,
     // Fresh environment per rep: every rep starts cold, so reps are
     // comparable and the best-of-N is a best over identical workloads.
     SimEnvironment env(ArmSim(shards, /*capacity=*/cfg.page_space / 16));
-    ParallelReplayResult r =
-        ReplayParallelFleet(threads, ParallelReplayOptions{}, &env);
+    ParallelReplayResult r = ReplayParallelFleet(threads, &env);
     uint64_t completed = 0;
-    for (const ParallelThreadResult& tr : r.threads) {
+    for (const QueryRunMetrics& tr : r.threads) {
       if (!tr.status.ok()) {
         std::fprintf(stderr, "FAIL: thread error (shards=%zu): %s\n", shards,
                      tr.status.ToString().c_str());
@@ -158,27 +157,10 @@ ArmResult RunArm(const ShardConfig& cfg, size_t shards,
   return arm;
 }
 
-// Field-for-field pool-stats equality (parity + determinism checks).
-bool SameStats(const BufferPoolStats& a, const BufferPoolStats& b) {
-  return a.fetches == b.fetches && a.buffer_hits == b.buffer_hits &&
-         a.prefetch_hits == b.prefetch_hits &&
-         a.prefetch_wait_hits == b.prefetch_wait_hits &&
-         a.os_cache_copies == b.os_cache_copies &&
-         a.disk_seq_reads == b.disk_seq_reads &&
-         a.disk_random_reads == b.disk_random_reads &&
-         a.evictions == b.evictions && a.uncached_reads == b.uncached_reads &&
-         a.prefetches_started == b.prefetches_started &&
-         a.prefetches_rejected == b.prefetches_rejected &&
-         a.prefetch_wait_us == b.prefetch_wait_us &&
-         a.read_retries == b.read_retries &&
-         a.corrupt_retries == b.corrupt_retries &&
-         a.failed_fetches == b.failed_fetches;
-}
-
 // Single-threaded replay of thread 0's trace with capacity for every
 // distinct page (no evictions, so shard-local replacement cannot diverge).
-ReplayResult SoloRun(const ShardConfig& cfg, size_t shards,
-                     const QueryTrace& trace) {
+QueryRunMetrics SoloRun(const ShardConfig& cfg, size_t shards,
+                        const QueryTrace& trace) {
   SimEnvironment env(ArmSim(shards, /*capacity=*/cfg.page_space));
   return ReplayQuery(trace, {}, PrefetcherOptions{}, &env);
 }
@@ -220,14 +202,14 @@ int main(int argc, char** argv) {
   }
 
   // Parity: sharded single-thread run vs the unsharded pool, no evictions.
-  const ReplayResult solo1 = SoloRun(cfg, 1, traces[0]);
-  const ReplayResult solo4 = SoloRun(cfg, 4, traces[0]);
-  const ReplayResult solo4b = SoloRun(cfg, 4, traces[0]);
+  const QueryRunMetrics solo1 = SoloRun(cfg, 1, traces[0]);
+  const QueryRunMetrics solo4 = SoloRun(cfg, 4, traces[0]);
+  const QueryRunMetrics solo4b = SoloRun(cfg, 4, traces[0]);
   const bool parity = solo1.status.ok() && solo4.status.ok() &&
                       solo1.elapsed_us == solo4.elapsed_us &&
-                      SameStats(solo1.pool_stats, solo4.pool_stats);
+                      solo1.pool_stats == solo4.pool_stats;
   const bool deterministic = solo4.elapsed_us == solo4b.elapsed_us &&
-                             SameStats(solo4.pool_stats, solo4b.pool_stats);
+                             solo4.pool_stats == solo4b.pool_stats;
   if (!parity) {
     std::fprintf(stderr, "FAIL: sharded solo run diverged from unsharded\n");
     return 1;

@@ -1,6 +1,7 @@
 #include "bufmgr/buffer_pool.h"
 
 #include <chrono>
+#include <iterator>
 #include <string>
 
 #include "util/trace.h"
@@ -16,26 +17,65 @@ inline uint64_t NowNs() {
           .count());
 }
 
+// The one field list of each stats struct; the sums and differences below
+// are generated from it. Every field is a 64-bit counter, which the
+// static_asserts turn into a completeness check: a counter missing from its
+// list fails the build.
+constexpr uint64_t BufferPoolStats::*kPoolStatsFields[] = {
+    &BufferPoolStats::fetches,           &BufferPoolStats::buffer_hits,
+    &BufferPoolStats::prefetch_hits,     &BufferPoolStats::prefetch_wait_hits,
+    &BufferPoolStats::os_cache_copies,   &BufferPoolStats::disk_seq_reads,
+    &BufferPoolStats::disk_random_reads, &BufferPoolStats::evictions,
+    &BufferPoolStats::uncached_reads,    &BufferPoolStats::prefetches_started,
+    &BufferPoolStats::prefetches_rejected,
+    &BufferPoolStats::prefetch_wait_us,  &BufferPoolStats::read_retries,
+    &BufferPoolStats::corrupt_retries,   &BufferPoolStats::failed_fetches,
+    &BufferPoolStats::hedged_reads,      &BufferPoolStats::hedge_wins,
+};
+static_assert(std::size(kPoolStatsFields) * sizeof(uint64_t) ==
+              sizeof(BufferPoolStats));
+
+constexpr uint64_t BufferPoolLockStats::*kLockStatsFields[] = {
+    &BufferPoolLockStats::acquisitions,
+    &BufferPoolLockStats::contended,
+    &BufferPoolLockStats::wait_ns,
+    &BufferPoolLockStats::hold_ns,
+};
+static_assert(std::size(kLockStatsFields) * sizeof(uint64_t) ==
+              sizeof(BufferPoolLockStats));
+
+template <typename Stats, size_t N>
+void AddFields(Stats* into, const Stats& from,
+               uint64_t Stats::*const (&fields)[N]) {
+  for (uint64_t Stats::*field : fields) into->*field += from.*field;
+}
+
+template <typename Stats, size_t N>
+Stats SubtractFields(Stats after, const Stats& before,
+                     uint64_t Stats::*const (&fields)[N]) {
+  for (uint64_t Stats::*field : fields) after.*field -= before.*field;
+  return after;
+}
+
 }  // namespace
 
 void AccumulateStats(BufferPoolStats* into, const BufferPoolStats& from) {
-  into->fetches += from.fetches;
-  into->buffer_hits += from.buffer_hits;
-  into->prefetch_hits += from.prefetch_hits;
-  into->prefetch_wait_hits += from.prefetch_wait_hits;
-  into->os_cache_copies += from.os_cache_copies;
-  into->disk_seq_reads += from.disk_seq_reads;
-  into->disk_random_reads += from.disk_random_reads;
-  into->evictions += from.evictions;
-  into->uncached_reads += from.uncached_reads;
-  into->prefetches_started += from.prefetches_started;
-  into->prefetches_rejected += from.prefetches_rejected;
-  into->prefetch_wait_us += from.prefetch_wait_us;
-  into->read_retries += from.read_retries;
-  into->corrupt_retries += from.corrupt_retries;
-  into->failed_fetches += from.failed_fetches;
-  into->hedged_reads += from.hedged_reads;
-  into->hedge_wins += from.hedge_wins;
+  AddFields(into, from, kPoolStatsFields);
+}
+
+BufferPoolStats SubtractStats(const BufferPoolStats& after,
+                              const BufferPoolStats& before) {
+  return SubtractFields(after, before, kPoolStatsFields);
+}
+
+void AccumulateStats(BufferPoolLockStats* into,
+                     const BufferPoolLockStats& from) {
+  AddFields(into, from, kLockStatsFields);
+}
+
+BufferPoolLockStats SubtractStats(const BufferPoolLockStats& after,
+                                  const BufferPoolLockStats& before) {
+  return SubtractFields(after, before, kLockStatsFields);
 }
 
 BufferPool::Guard::Guard(const BufferPool* pool, Shard* shard, bool profile)
@@ -352,10 +392,7 @@ BufferPoolLockStats BufferPool::lock_stats() const {
   BufferPoolLockStats total;
   for (const auto& shard : shards_) {
     Guard guard(this, shard.get(), /*profile=*/false);
-    total.acquisitions += shard->lock.acquisitions;
-    total.contended += shard->lock.contended;
-    total.wait_ns += shard->lock.wait_ns;
-    total.hold_ns += shard->lock.hold_ns;
+    AccumulateStats(&total, shard->lock);
   }
   return total;
 }

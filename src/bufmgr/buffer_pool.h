@@ -92,11 +92,10 @@ struct BufferPoolStats {
   uint64_t failed_fetches = 0;      // fetches that exhausted the retry budget
   uint64_t hedged_reads = 0;        // foreground misses that issued a hedge
   uint64_t hedge_wins = 0;          // of those, hedge beat the slow primary
-};
 
-// Adds `from` into `into`, field by field. Shard merges and replay deltas
-// both reduce with this, so a new counter only has to be added here once.
-void AccumulateStats(BufferPoolStats* into, const BufferPoolStats& from);
+  friend bool operator==(const BufferPoolStats&,
+                         const BufferPoolStats&) = default;
+};
 
 // Wall-clock mutex contention evidence, merged over shards in shard order.
 struct BufferPoolLockStats {
@@ -105,6 +104,18 @@ struct BufferPoolLockStats {
   uint64_t wait_ns = 0;      // total time blocked acquiring shard mutexes
   uint64_t hold_ns = 0;      // total time shard mutexes were held
 };
+
+// Field-by-field sum (`from` added into `into`) and difference
+// (`after - before`). Shard merges and replay deltas both reduce with
+// these; buffer_pool.cc generates each pair from one field list per
+// struct, so a new counter only has to be added there once.
+void AccumulateStats(BufferPoolStats* into, const BufferPoolStats& from);
+BufferPoolStats SubtractStats(const BufferPoolStats& after,
+                              const BufferPoolStats& before);
+void AccumulateStats(BufferPoolLockStats* into,
+                     const BufferPoolLockStats& from);
+BufferPoolLockStats SubtractStats(const BufferPoolLockStats& after,
+                                  const BufferPoolLockStats& before);
 
 class BufferPool {
  public:

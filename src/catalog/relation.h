@@ -40,8 +40,7 @@ class Relation {
 
   // Appends one row; the row must have num_columns() values.
   void AppendRow(const std::vector<Value>& row);
-  // Bulk storage access for the generator (column-major).
-  std::vector<Value>& MutableColumn(size_t idx) { return columns_[idx]; }
+  // Bulk storage access (column-major).
   const std::vector<Value>& Column(size_t idx) const { return columns_[idx]; }
 
   size_t num_rows() const { return num_rows_; }

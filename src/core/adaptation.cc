@@ -11,16 +11,6 @@
 
 namespace pythia {
 
-const char* AdaptationPhaseName(AdaptationPhase phase) {
-  switch (phase) {
-    case AdaptationPhase::kIdle: return "idle";
-    case AdaptationPhase::kTraining: return "training";
-    case AdaptationPhase::kProbation: return "probation";
-    case AdaptationPhase::kCooldown: return "cooldown";
-  }
-  return "unknown";
-}
-
 const char* AdaptationEventName(AdaptationEvent::Kind kind) {
   switch (kind) {
     case AdaptationEvent::Kind::kRetrainStart: return "retrain_start";
@@ -65,15 +55,8 @@ AdaptationCheckpointSummary AdaptationManager::CheckpointSummary(
   summary.phase = static_cast<uint32_t>(st.phase == AdaptationPhase::kTraining
                                             ? AdaptationPhase::kIdle
                                             : st.phase);
-  summary.window = st.window.size();
-  summary.fresh = st.fresh;
   summary.cooldown_remaining = st.cooldown_remaining;
   summary.rounds = st.rounds;
-  double total = 0.0;
-  for (const Capture& c : st.window) total += c.useful_ratio;
-  summary.mean_useful_ratio =
-      st.window.empty() ? 0.0
-                        : total / static_cast<double>(st.window.size());
   return summary;
 }
 
@@ -271,7 +254,9 @@ void AdaptationManager::FinishTraining(size_t entry, EntryState* st) {
 bool AdaptationManager::ShadowValidate(size_t entry, EntryState* st) {
   // Private environment built from the live one's options: identical
   // latency model and cache geometry, but its own buffer pool/OS cache/IO
-  // channels — live sessions never notice the validation replays.
+  // channels — live sessions never notice the validation replays. They run
+  // default PrefetcherOptions: no governor, since nothing else shares the
+  // shadow stack.
   SimEnvironment shadow(system_->env()->options());
   WorkloadModel& incumbent = system_->model(entry);
 
@@ -280,8 +265,8 @@ bool AdaptationManager::ShadowValidate(size_t entry, EntryState* st) {
   for (const Capture& c : st->holdout) {
     // No-prefetch baseline (the paper's DFLT), cold.
     shadow.ColdRestart();
-    const ReplayResult base =
-        ReplayQuery(c.trace, {}, options_.shadow_prefetch, &shadow);
+    const QueryRunMetrics base =
+        ReplayQuery(c.trace, {}, PrefetcherOptions{}, &shadow);
     default_us += static_cast<double>(base.elapsed_us);
 
     auto replay_with = [&](WorkloadModel* model) {
@@ -289,15 +274,15 @@ bool AdaptationManager::ShadowValidate(size_t entry, EntryState* st) {
       std::vector<PageId> pages(predicted.begin(), predicted.end());
       std::sort(pages.begin(), pages.end());
       shadow.ColdRestart();
-      return ReplayQuery(c.trace, pages, options_.shadow_prefetch, &shadow);
+      return ReplayQuery(c.trace, pages, PrefetcherOptions{}, &shadow);
     };
-    const ReplayResult cand = replay_with(st->candidate.get());
+    const QueryRunMetrics cand = replay_with(st->candidate.get());
     candidate_us += static_cast<double>(cand.elapsed_us);
     attempted +=
         cand.prefetch_stats.issued + cand.prefetch_stats.already_buffered;
     consumed += cand.prefetch_stats.consumed;
 
-    const ReplayResult inc = replay_with(&incumbent);
+    const QueryRunMetrics inc = replay_with(&incumbent);
     incumbent_us += static_cast<double>(inc.elapsed_us);
   }
 

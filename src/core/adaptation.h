@@ -76,9 +76,6 @@ struct AdaptationOptions {
   double min_speedup_vs_default = 1.05;
   double min_speedup_vs_incumbent = 1.0;
   double min_useful_ratio = 0.2;
-  // Prefetcher used for the shadow replays (no governor by default — the
-  // shadow environment is private).
-  PrefetcherOptions shadow_prefetch;
 
   // Virtual cost charged to the background lane per training sample per
   // epoch. The candidate becomes installable once the lane clock (which
@@ -95,8 +92,6 @@ struct AdaptationOptions {
 };
 
 enum class AdaptationPhase { kIdle, kTraining, kProbation, kCooldown };
-
-const char* AdaptationPhaseName(AdaptationPhase phase);
 
 struct AdaptationStats {
   uint64_t captured = 0;            // traces added to sliding windows
@@ -129,11 +124,8 @@ const char* AdaptationEventName(AdaptationEvent::Kind kind);
 // retrain cadence survives the restart.
 struct AdaptationCheckpointSummary {
   uint32_t phase = 0;  // AdaptationPhase; kTraining collapses to kIdle
-  uint64_t window = 0;
-  uint64_t fresh = 0;
   uint64_t cooldown_remaining = 0;
   uint64_t rounds = 0;
-  double mean_useful_ratio = 0.0;  // over the captured window at save time
 };
 
 class AdaptationManager {
@@ -160,8 +152,6 @@ class AdaptationManager {
   const AdaptationStats& stats() const { return stats_; }
   const std::vector<AdaptationEvent>& events() const { return events_; }
   AdaptationPhase phase(size_t entry) const;
-  // Virtual background-lane clock (sum of observed query elapsed times).
-  SimTime lane_now() const { return lane_now_; }
 
   // --- Checkpoint support (core/checkpoint.h, core/recovery.h) -----------
 

@@ -46,8 +46,6 @@ class NearestNeighborBaseline {
   // both as the NN probe and as the F1 reference.
   std::unordered_set<PageId> GroundTruth(const QueryTrace& trace) const;
 
-  size_t num_neighbors() const { return train_sets_.size(); }
-
  private:
   std::vector<std::unordered_set<PageId>> train_sets_;
   std::unordered_set<PageId> empty_;

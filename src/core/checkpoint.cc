@@ -16,7 +16,9 @@ namespace pythia {
 namespace {
 
 constexpr uint32_t kManifestMagic = 0x5059434b;  // "PYCK"
-constexpr uint32_t kManifestVersion = 1;
+// Bumped whenever the payload layout changes: a manifest of another version
+// fails with FailedPrecondition, and recovery skips it intact.
+constexpr uint32_t kManifestVersion = 2;
 
 // Prediction-cache entries captured into a manifest (the most recently used
 // win).
@@ -87,15 +89,11 @@ std::string SerializeManifest(const CheckpointManifest& m) {
     out.Pod(w.fingerprint);
     out.String<uint64_t>(w.model_path);
     AppendIdentity(&out, w.primary);
-    AppendIdentity(&out, w.lkg);
     AppendWatchdog(&out, w.watchdog);
     out.Pod(static_cast<uint8_t>(w.has_adaptation ? 1 : 0));
     out.Pod(w.adaptation.phase);
-    out.Pod(w.adaptation.window);
-    out.Pod(w.adaptation.fresh);
     out.Pod(w.adaptation.cooldown_remaining);
     out.Pod(w.adaptation.rounds);
-    out.Pod(w.adaptation.mean_useful_ratio);
   }
   out.Pod(static_cast<uint64_t>(m.cache.size()));
   for (const CheckpointCacheEntry& e : m.cache) {
@@ -123,16 +121,13 @@ bool ParseManifestPayload(const std::string& payload, CheckpointManifest* m) {
   for (CheckpointWorkloadState& w : m->workloads) {
     if (!p.Pod(&w.revision) || !p.Pod(&w.fingerprint) ||
         !p.String<uint64_t>(&w.model_path) || !ParseIdentity(&p, &w.primary) ||
-        !ParseIdentity(&p, &w.lkg) || !ParseWatchdog(&p, &w.watchdog) ||
-        !p.Pod(&flag)) {
+        !ParseWatchdog(&p, &w.watchdog) || !p.Pod(&flag)) {
       return false;
     }
     w.has_adaptation = flag != 0;
-    if (!p.Pod(&w.adaptation.phase) || !p.Pod(&w.adaptation.window) ||
-        !p.Pod(&w.adaptation.fresh) ||
+    if (!p.Pod(&w.adaptation.phase) ||
         !p.Pod(&w.adaptation.cooldown_remaining) ||
-        !p.Pod(&w.adaptation.rounds) ||
-        !p.Pod(&w.adaptation.mean_useful_ratio)) {
+        !p.Pod(&w.adaptation.rounds)) {
       return false;
     }
   }
@@ -205,12 +200,13 @@ std::vector<uint64_t> CheckpointManager::ScanGenerations(
   return gens;
 }
 
-Result<FileIdentity> CheckpointManager::SaveManifest(
-    const CheckpointManifest& manifest, const std::string& path) {
+Status CheckpointManager::SaveManifest(const CheckpointManifest& manifest,
+                                       const std::string& path) {
   AtomicWriteSites sites;
   sites.mid_payload = kCrashMidManifest;
   return WriteFramedFile(path, kManifestMagic, kManifestVersion,
-                         SerializeManifest(manifest), sites);
+                         SerializeManifest(manifest), sites)
+      .status();
 }
 
 Result<CheckpointManifest> CheckpointManager::LoadManifest(
@@ -243,13 +239,12 @@ Status CheckpointManager::Checkpoint(
     w.revision = system.model(i).revision();
     w.fingerprint = system.model(i).fingerprint();
     w.model_path = model_paths[i];
-    Result<ModelFiles> files = PublishModel(system.model(i), w.model_path);
-    if (!files.ok()) {
+    Result<FileIdentity> primary = PublishModel(system.model(i), w.model_path);
+    if (!primary.ok()) {
       reg.counter("recovery.checkpoint_failures").Increment();
-      return files.status();
+      return primary.status();
     }
-    w.primary = files->primary;
-    w.lkg = files->sidecar;
+    w.primary = primary.value();
     w.watchdog = system.watchdog(i).CheckpointState();
     if (system.adaptation() != nullptr) {
       w.has_adaptation = true;
@@ -269,15 +264,14 @@ Status CheckpointManager::Checkpoint(
     manifest.cache.push_back(std::move(e));
   }
 
-  Result<FileIdentity> written =
+  const Status written =
       SaveManifest(manifest, ManifestPath(dir_, manifest.generation));
   if (!written.ok()) {
     reg.counter("recovery.checkpoint_failures").Increment();
-    return written.status();
+    return written;
   }
   latest_generation_ = manifest.generation;
   reg.counter("recovery.checkpoints_written").Increment();
-  reg.histogram("recovery.checkpoint_bytes").Record(written->size);
   PYTHIA_TRACE_INSTANT_CTX("recovery", "checkpoint", "generation",
                            manifest.generation);
   PruneOldGenerations();

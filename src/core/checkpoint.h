@@ -7,23 +7,23 @@
 // process, and a restart would come back with healthy-by-default
 // watchdogs, a cold plan cache and revisions restarting at zero.
 //
-// The checkpoint manifest keeps that state. It is one versioned file in the
-// CRC frame every model file also uses (storage/durable.h: WriteFramedFile
-// publishes it through the one atomic gateway — serialize to memory, .tmp,
-// fsync, rename — and ReadFramedFile verifies it), with its payload written
-// and parsed by the bounds-checked byte codec (util/bytes.h). It holds, per
-// generation:
+// The checkpoint manifest keeps that state. It is one versioned file
+// (format version 2) in the CRC frame every model file also uses
+// (storage/durable.h: WriteFramedFile publishes it through the one atomic
+// gateway — serialize to memory, .tmp, fsync, rename — and ReadFramedFile
+// verifies it), with its payload written and parsed by the bounds-checked
+// byte codec (util/bytes.h). It holds, per generation:
 //
 //  - per workload: the served model revision, its training fingerprint, the
-//    model cache path and the byte identity (size + CRC) of the primary and
-//    .lkg files as the publish wrote them — recovery compares the identity
-//    of the bytes it serves against the primary's record to decide whether
-//    they are the checkpointed ones or newer survivors of a crash
-//    mid-publish;
+//    model cache path and the byte identity (size + CRC) of the primary as
+//    the publish wrote it — recovery compares the identity of the bytes it
+//    serves against this record to decide whether they are the checkpointed
+//    ones or newer survivors of a crash mid-publish. The .lkg sidecar needs
+//    no record: it is a byte copy of the primary;
 //  - the watchdog state machine per workload (health, ratio window,
 //    probation counters) so a demoted model does not come back healthy;
-//  - the adaptation state-machine summary per workload (phase, cooldown,
-//    round counters — not the raw trace window, which re-accrues);
+//  - the adaptation state-machine summary per workload (phase, cooldown
+//    and round counters — not the raw trace window, which re-accrues);
 //  - the governor's degradation rung;
 //  - a snapshot of the prediction cache's 256 most recently used entries,
 //    revalidated against model revisions at restore time.
@@ -66,7 +66,6 @@ struct CheckpointWorkloadState {
   uint64_t fingerprint = 0;  // WorkloadModel::Fingerprint of the config
   std::string model_path;    // primary .pywm path; .lkg sidecar implied
   FileIdentity primary;      // identity of model_path when manifested
-  FileIdentity lkg;          // identity of the sidecar (recorded, not read)
   WatchdogCheckpointState watchdog;
   bool has_adaptation = false;
   AdaptationCheckpointSummary adaptation;
@@ -100,9 +99,10 @@ class CheckpointManager {
   // with its .lkg sidecar first (PublishModel, core/predictor.h: crash sites
   // pre_tmp_write / mid_payload / pre_rename fire inside the save,
   // post_rename_pre_sidecar between the publish and the sidecar write), and
-  // the identities the publish returns go into the manifest (mid_manifest
-  // fires inside its write). Any Aborted status propagates untouched — the
-  // simulated process is dead and must not "recover" in the same call.
+  // the primary identity the publish returns goes into the manifest
+  // (mid_manifest fires inside its write). Any Aborted status propagates
+  // untouched — the simulated process is dead and must not "recover" in
+  // the same call.
   Status Checkpoint(PythiaSystem& system,
                     const std::vector<std::string>& model_paths);
 
@@ -115,14 +115,13 @@ class CheckpointManager {
   static std::string ManifestPath(const std::string& dir, uint64_t generation);
   // Parses "manifest-<gen>.pyck"; false when `name` is not a manifest name.
   static bool ParseManifestName(const std::string& name, uint64_t* generation);
-  // Serializes + durably publishes `manifest` at `path`, returning the
-  // identity of what reached disk. The manifest's own atomic write exposes
-  // kCrashMidManifest as its mid-payload site.
-  static Result<FileIdentity> SaveManifest(const CheckpointManifest& manifest,
-                                           const std::string& path);
+  // Serializes + durably publishes `manifest` at `path`. The manifest's own
+  // atomic write exposes kCrashMidManifest as its mid-payload site.
+  static Status SaveManifest(const CheckpointManifest& manifest,
+                             const std::string& path);
   // Loads and verifies. DataCorruption on a torn/bit-flipped/unparseable
   // file (caller decides whether to quarantine), FailedPrecondition on a
-  // clean format-version mismatch.
+  // clean format-version mismatch (a version-1 manifest, for one).
   static Result<CheckpointManifest> LoadManifest(const std::string& path);
 
   // Generations present in `dir`, ascending. Non-manifest files ignored.

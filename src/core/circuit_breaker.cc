@@ -4,6 +4,13 @@
 
 namespace pythia {
 
+namespace {
+
+constexpr double kMaxFaultFraction = 0.25;  // (dropped + timed out) / attempted
+constexpr double kMaxWasteFraction = 0.9;   // unconsumed / attempted
+
+}  // namespace
+
 const char* BreakerStateName(BreakerState state) {
   switch (state) {
     case BreakerState::kClosed: return "closed";
@@ -20,14 +27,14 @@ bool IsHealthyPrefetch(const PrefetchSessionStats& stats,
   if (attempted < policy.min_attempted) return true;
   const uint64_t faulted = stats.dropped_faulty + stats.timed_out;
   if (static_cast<double>(faulted) >
-      policy.max_fault_fraction * static_cast<double>(attempted)) {
+      kMaxFaultFraction * static_cast<double>(attempted)) {
     return false;
   }
   const uint64_t unconsumed = attempted > stats.consumed
                                   ? attempted - stats.consumed
                                   : 0;
   return static_cast<double>(unconsumed) <=
-         policy.max_waste_fraction * static_cast<double>(attempted);
+         kMaxWasteFraction * static_cast<double>(attempted);
 }
 
 bool CircuitBreaker::AllowPrefetch() {

@@ -53,11 +53,11 @@ struct CircuitBreakerStats {
 };
 
 // Per-session health verdict: a session is unhealthy when faults/timeouts
-// ate too much of it or almost nothing it prefetched was consumed.
+// ate more than a quarter of it ((dropped + timed out) / attempted > 0.25)
+// or almost nothing it prefetched was consumed (unconsumed / attempted >
+// 0.9).
 struct PrefetchHealthPolicy {
-  double max_fault_fraction = 0.25;  // (dropped + timed out) / attempted
-  double max_waste_fraction = 0.9;   // unconsumed / attempted
-  size_t min_attempted = 8;          // tiny sessions are never judged
+  size_t min_attempted = 8;  // tiny sessions are never judged
 };
 
 bool IsHealthyPrefetch(const PrefetchSessionStats& stats,

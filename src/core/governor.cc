@@ -14,6 +14,17 @@ namespace {
 // pressure 1.0 on its own.
 constexpr double kAioBacklogFullUs = 50000.0;
 
+// Recovery margin: stepping one rung back toward full service requires
+// pressure < (that rung's threshold - kHysteresis).
+constexpr double kHysteresis = 0.10;
+
+// Ladder rung at (and past) which hedged reads are suppressed. A hedge
+// doubles the device work of the read it covers, which is the wrong trade
+// under systemic overload: the tail is then queueing, not a gray channel,
+// and hedges would feed the queue. Hedging survives the first (cache-only)
+// degradation rung but is shed with learned prefetch.
+constexpr DegradationRung kSuppressHedgingAt = DegradationRung::kReadahead;
+
 }  // namespace
 
 const char* DegradationRungName(DegradationRung rung) {
@@ -178,14 +189,14 @@ void PrefetchGovernor::SetRung(DegradationRung next, SimTime now) {
   rung_ = next;
   // The last rung sheds even the kernel's speculation: OS readahead is
   // suppressed system-wide until the ladder climbs back up. Hedged reads
-  // are shed earlier (suppress_hedging_at): under systemic overload a
+  // are shed earlier (kSuppressHedgingAt): under systemic overload a
   // hedge is extra device work feeding the very queue that is the problem.
   if (os_cache_ != nullptr) {
     os_cache_->set_readahead_suppressed(rung_ ==
                                         DegradationRung::kNoPrefetch);
     os_cache_->set_hedging_suppressed(
         static_cast<int>(rung_) >=
-        static_cast<int>(options_.suppress_hedging_at));
+        static_cast<int>(kSuppressHedgingAt));
   }
   PYTHIA_TRACE_INSTANT("overload", "rung", now, "to",
                        static_cast<uint64_t>(static_cast<int>(rung_)));
@@ -205,7 +216,7 @@ DegradationRung PrefetchGovernor::Evaluate(SimTime now) {
     // Degrade immediately — overload must never wait for hysteresis.
     SetRung(raw, now);
   } else if (static_cast<int>(raw) < static_cast<int>(rung_) &&
-             p < RungThreshold(rung_) - options_.hysteresis) {
+             p < RungThreshold(rung_) - kHysteresis) {
     // Recover one rung at a time, and only once pressure has fallen well
     // clear of the edge that got us here, so the ladder cannot flap.
     SetRung(static_cast<DegradationRung>(static_cast<int>(rung_) - 1), now);

@@ -19,10 +19,10 @@
 //  - the four-rung degradation ladder (core/query_metrics.h). Pressure is
 //    max(pool pressure, AIO pressure) in [0, 1]; crossing a rung's
 //    threshold degrades immediately, recovery steps back one rung at a
-//    time and only once pressure has fallen `hysteresis` below the
-//    threshold, so the ladder cannot flap. At kNoPrefetch the governor
-//    also suppresses OS readahead — under saturation even the kernel's
-//    speculation is shed.
+//    time and only once pressure has fallen a hysteresis margin (0.10)
+//    below the threshold, so the ladder cannot flap. From kReadahead on
+//    the governor suppresses hedged reads, and at kNoPrefetch also OS
+//    readahead — under saturation even the kernel's speculation is shed.
 //
 // Determinism: the governor is pure bookkeeping over virtual-time signals —
 // no wall clock, no randomness — so identical call sequences produce
@@ -61,16 +61,6 @@ struct GovernorOptions {
   double cached_only_above = 0.60;
   double readahead_above = 0.80;
   double no_prefetch_above = 0.95;
-  // Recovery margin: stepping one rung back toward full service requires
-  // pressure < (that rung's threshold - hysteresis).
-  double hysteresis = 0.10;
-  // Ladder rung at (and past) which hedged reads are suppressed. A hedge
-  // doubles the device work of the read it covers, which is the wrong trade
-  // under systemic overload: the tail is then queueing, not a gray channel,
-  // and hedges would feed the queue. Default kReadahead: hedging survives
-  // the first (cache-only) degradation rung but is shed with learned
-  // prefetch. Set to kNoPrefetch to keep hedging until total shutdown.
-  DegradationRung suppress_hedging_at = DegradationRung::kReadahead;
 };
 
 struct GovernorStats {

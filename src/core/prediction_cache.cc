@@ -69,13 +69,6 @@ void PredictionCache::AbortInflight(const PredictionKey& key) {
   if (inflight_.erase(key) > 0) ++stats_.inflight_aborts;
 }
 
-size_t PredictionCache::AbortAllInflight() {
-  const size_t aborted = inflight_.size();
-  inflight_.clear();
-  stats_.inflight_aborts += aborted;
-  return aborted;
-}
-
 std::vector<std::pair<PredictionKey, std::vector<PageId>>>
 PredictionCache::SnapshotEntries() const {
   std::vector<std::pair<PredictionKey, std::vector<PageId>>> out;

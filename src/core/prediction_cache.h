@@ -87,11 +87,6 @@ class PredictionCache {
   // (e.g. the ladder degraded below full-neural before the flush ran).
   void AbortInflight(const PredictionKey& key);
 
-  // Drops every outstanding in-flight registration (shutdown mid-flush:
-  // the forward passes those leaders owed will never run). Returns how many
-  // registrations were aborted.
-  size_t AbortAllInflight();
-
   // In-flight fingerprints registered but not yet published/aborted.
   size_t inflight() const { return inflight_.size(); }
 

@@ -669,7 +669,8 @@ Result<WorkloadModel> WorkloadModel::ParsePayload(ByteReader* r) {
 
 std::string SidecarPath(const std::string& path) { return path + ".lkg"; }
 
-Result<ModelFiles> PublishModel(WorkloadModel& model, const std::string& path) {
+Result<FileIdentity> PublishModel(WorkloadModel& model,
+                                  const std::string& path) {
   std::string image;
   Result<FileIdentity> primary = model.Save(path, &image);
   if (!primary.ok()) return primary.status();
@@ -684,7 +685,7 @@ Result<ModelFiles> PublishModel(WorkloadModel& model, const std::string& path) {
       WriteFileAtomic(SidecarPath(path), image.data(), image.size());
   if (!sidecar.ok()) return sidecar.status();
   IntegrityCounter("model.lkg_snapshots").Increment();
-  return ModelFiles{primary.value(), sidecar.value()};
+  return primary;
 }
 
 Result<StoredModel> LoadStoredModel(const std::string& path,

@@ -262,16 +262,12 @@ class WorkloadModel {
 // sidecar, the last known good copy of the primary's bytes. These two steps
 // are the only code that writes the pair or chooses between its files.
 
-// Identities of the two files a publish left on disk.
-struct ModelFiles {
-  FileIdentity primary;
-  FileIdentity sidecar;
-};
-
 // Save at `path`, then the post_rename_pre_sidecar crash site (Aborted when
 // it fires), then the sidecar written from the bytes the primary published,
-// a torn prefix included.
-Result<ModelFiles> PublishModel(WorkloadModel& model, const std::string& path);
+// a torn prefix included. Returns the identity of the primary as it reached
+// disk; the sidecar holds the same bytes.
+Result<FileIdentity> PublishModel(WorkloadModel& model,
+                                  const std::string& path);
 
 // A served model, whether the sidecar served it, and the identity of the
 // bytes it was parsed from (a sidecar's bytes are its primary's).

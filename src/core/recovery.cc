@@ -49,17 +49,14 @@ Result<CheckpointManifest> RecoveryManager::LoadNewestValidManifest(
     Result<CheckpointManifest> manifest =
         CheckpointManager::LoadManifest(path);
     if (manifest.ok()) return manifest;
-    if (manifest.status().code() == StatusCode::kDataCorruption) {
-      // Torn or bit-rotted: quarantine for postmortems and fall back one
-      // generation. The quarantined name no longer parses as a manifest, so
-      // later scans skip it.
-      if (QuarantineFile(path)) {
-        reg.counter("recovery.quarantines").Increment();
-        if (report != nullptr) ++report->manifests_quarantined;
-      }
-    } else if (report != nullptr) {
-      // Clean version mismatch (or unreadable): skip without destroying.
-      ++report->manifests_discarded;
+    // Torn or bit-rotted: quarantine for postmortems and fall back one
+    // generation (the quarantined name no longer parses as a manifest, so
+    // later scans skip it). A clean version mismatch, or an unreadable file,
+    // is skipped without destroying it.
+    if (manifest.status().code() == StatusCode::kDataCorruption &&
+        QuarantineFile(path)) {
+      reg.counter("recovery.quarantines").Increment();
+      if (report != nullptr) ++report->manifests_quarantined;
     }
     reg.counter("recovery.generations_discarded").Increment();
     PYTHIA_TRACE_INSTANT_CTX("recovery", "manifest_discarded", "generation",
@@ -132,7 +129,6 @@ Result<RecoveryReport> RecoveryManager::Recover(
       out.watchdog_restored = true;
       if (rec->has_adaptation && system->adaptation() != nullptr) {
         system->adaptation()->RestoreCheckpointSummary(i, rec->adaptation);
-        out.adaptation_restored = true;
       }
     }
     PYTHIA_TRACE_INSTANT_CTX("recovery", "workload_recovered", "revision",
@@ -144,7 +140,6 @@ Result<RecoveryReport> RecoveryManager::Recover(
       system->governor() != nullptr) {
     system->governor()->RestoreRung(
         static_cast<DegradationRung>(manifest.governor_rung));
-    report.governor_restored = true;
   }
 
   // Warm prediction cache: only entries whose (model_id, revision) names a

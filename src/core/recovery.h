@@ -79,19 +79,16 @@ struct RecoveredWorkload {
   uint64_t revision = 0;       // revision the model now serves at
   bool manifest_match = false; // identity matched the manifest record (1a)
   bool watchdog_restored = false;
-  bool adaptation_restored = false;
 };
 
 struct RecoveryReport {
   bool manifest_loaded = false;
   uint64_t manifest_generation = 0;  // 0 when no valid manifest survived
   uint64_t manifests_quarantined = 0;
-  uint64_t manifests_discarded = 0;  // version-mismatch generations skipped
   uint64_t tmp_files_removed = 0;
   std::vector<RecoveredWorkload> workloads;
   uint64_t cache_restored = 0;
   uint64_t cache_rejected = 0;
-  bool governor_restored = false;
   uint64_t wall_us = 0;  // host wall clock, reporting only (nondeterministic)
 };
 

@@ -16,30 +16,6 @@ namespace {
 // it, so all channels hold identical pages.
 constexpr uint64_t kDiskContentSeed = 0x5eedd15c;
 
-BufferPoolStats StatsDelta(const BufferPoolStats& after,
-                           const BufferPoolStats& before) {
-  BufferPoolStats d;
-  d.fetches = after.fetches - before.fetches;
-  d.buffer_hits = after.buffer_hits - before.buffer_hits;
-  d.prefetch_hits = after.prefetch_hits - before.prefetch_hits;
-  d.prefetch_wait_hits = after.prefetch_wait_hits - before.prefetch_wait_hits;
-  d.os_cache_copies = after.os_cache_copies - before.os_cache_copies;
-  d.disk_seq_reads = after.disk_seq_reads - before.disk_seq_reads;
-  d.disk_random_reads = after.disk_random_reads - before.disk_random_reads;
-  d.evictions = after.evictions - before.evictions;
-  d.uncached_reads = after.uncached_reads - before.uncached_reads;
-  d.prefetches_started = after.prefetches_started - before.prefetches_started;
-  d.prefetches_rejected =
-      after.prefetches_rejected - before.prefetches_rejected;
-  d.prefetch_wait_us = after.prefetch_wait_us - before.prefetch_wait_us;
-  d.read_retries = after.read_retries - before.read_retries;
-  d.corrupt_retries = after.corrupt_retries - before.corrupt_retries;
-  d.failed_fetches = after.failed_fetches - before.failed_fetches;
-  d.hedged_reads = after.hedged_reads - before.hedged_reads;
-  d.hedge_wins = after.hedge_wins - before.hedge_wins;
-  return d;
-}
-
 }  // namespace
 
 SimEnvironment::SimEnvironment(const SimOptions& options)
@@ -61,46 +37,51 @@ SimEnvironment::SimEnvironment(const SimOptions& options)
                                        options.latency);
   io_ = std::make_unique<IoScheduler>(options.io_channels);
 
-  // Single-channel (the default): one injector and one disk shared by
-  // everything, exactly the historical wiring, so seed benches are
-  // bit-identical. Multi-channel: channel 0 keeps injector_/disk_, channels
-  // 1..N-1 get their own instances — injector seeds derived from the base
-  // seed and channel index (independent but reproducible fault streams),
-  // disks sharing the content seed (identical page images) — and the AIO
-  // scheduler gets a dedicated stall stream. FaultInjector and
-  // SimulatedDisk are not thread-safe; per-channel instances let the
-  // channel mutexes do the serialization.
+  // One FaultInjector and one SimulatedDisk per storage channel, built in
+  // one loop. Channel c's injector is seeded faults.seed ^ (golden ratio *
+  // c) — channel 0 keeps the base seed, so a one-channel stack draws the
+  // historical streams — and each disk draws corruption from its own
+  // channel's injector; every disk shares the content seed (identical page
+  // images). FaultInjector and SimulatedDisk are not thread-safe:
+  // per-channel instances let the channel mutexes do the serialization.
   // Single-gray-channel scenario: brownout_channel >= 0 confines the
   // configured brownout window to that one channel's injector; every other
-  // derived config has it stripped (seeds are untouched, so the error/spike
-  // streams stay identical either way).
-  const auto scoped_faults = [&](FaultConfig config, size_t channel) {
-    if (options.brownout_channel >= 0 &&
-        static_cast<size_t>(options.brownout_channel) != channel) {
-      config.brownout_latency_mult = 1.0;
-      config.brownout_duration_reads = 0;
-    }
-    return config;
-  };
-  if (options.faults.enabled()) {
-    injector_ =
-        std::make_unique<FaultInjector>(scoped_faults(options.faults, 0));
-    os_cache_->set_fault_injector(injector_.get());
-    if (channels > 1) {
-      for (size_t c = 1; c < channels; ++c) {
-        FaultConfig config = options.faults;
-        config.seed = options.faults.seed ^ (0x9e3779b97f4a7c15ULL * c);
-        channel_injectors_.push_back(
-            std::make_unique<FaultInjector>(scoped_faults(config, c)));
-        os_cache_->set_channel_fault_injector(c,
-                                              channel_injectors_.back().get());
+  // channel has it stripped (seeds are untouched, so the error/spike streams
+  // stay identical either way).
+  const bool verify =
+      options.faults.corruption_enabled() || options.verify_page_checksums;
+  for (size_t c = 0; c < channels; ++c) {
+    FaultInjector* injector = nullptr;
+    if (options.faults.enabled()) {
+      FaultConfig config = options.faults;
+      config.seed = options.faults.seed ^ (0x9e3779b97f4a7c15ULL * c);
+      if (options.brownout_channel >= 0 &&
+          static_cast<size_t>(options.brownout_channel) != c) {
+        config.brownout_latency_mult = 1.0;
+        config.brownout_duration_reads = 0;
       }
+      injectors_.push_back(std::make_unique<FaultInjector>(config));
+      injector = injectors_.back().get();
+      os_cache_->set_channel_fault_injector(c, injector);
+    }
+    if (verify) {
+      disks_.push_back(
+          std::make_unique<SimulatedDisk>(kDiskContentSeed, injector));
+      os_cache_->set_channel_disk(c, disks_.back().get());
+    }
+  }
+  // The AIO stall stream: one channel shares channel 0's injector (its
+  // historical stream and counters); a wider stack gets a dedicated
+  // injector, so scheduler stalls never race the channel read streams
+  // across threads.
+  if (options.faults.enabled()) {
+    if (channels > 1) {
       FaultConfig aio_config = options.faults;
       aio_config.seed = options.faults.seed ^ 0xa10a10a10a10a10aULL;
       aio_injector_ = std::make_unique<FaultInjector>(aio_config);
       io_->set_fault_injector(aio_injector_.get());
     } else {
-      io_->set_fault_injector(injector_.get());
+      io_->set_fault_injector(injectors_[0].get());
     }
   }
   if (options.channel_health.enabled) {
@@ -108,20 +89,8 @@ SimEnvironment::SimEnvironment(const SimOptions& options)
         std::make_unique<ChannelHealthTracker>(channels, options.channel_health);
     os_cache_->set_health_tracker(health_.get());
     if (options.channel_breakers) {
-      breakers_ = std::make_unique<ChannelBreakerBoard>(
-          options.channel_breaker, health_.get());
-    }
-  }
-  if (options.faults.corruption_enabled() || options.verify_page_checksums) {
-    disk_ = std::make_unique<SimulatedDisk>(kDiskContentSeed,
-                                            injector_.get());
-    os_cache_->set_disk(disk_.get());
-    for (size_t c = 1; c < channels; ++c) {
-      FaultInjector* channel_injector =
-          options.faults.enabled() ? channel_injectors_[c - 1].get() : nullptr;
-      channel_disks_.push_back(std::make_unique<SimulatedDisk>(
-          kDiskContentSeed, channel_injector));
-      os_cache_->set_channel_disk(c, channel_disks_.back().get());
+      breakers_ = std::make_unique<ChannelBreakerBoard>(ChannelBreakerOptions{},
+                                                        health_.get());
     }
   }
 }
@@ -134,8 +103,7 @@ void SimEnvironment::ColdRestart() {
 }
 
 void SimEnvironment::ResetFaults() {
-  if (injector_ != nullptr) injector_->Reset();
-  for (auto& injector : channel_injectors_) injector->Reset();
+  for (auto& injector : injectors_) injector->Reset();
   if (aio_injector_ != nullptr) aio_injector_->Reset();
 }
 
@@ -144,23 +112,15 @@ void SimEnvironment::ResetChannelHealth() {
   if (breakers_ != nullptr) breakers_->Reset();
 }
 
-ReplayResult ReplayQuery(const QueryTrace& trace,
-                         const std::vector<PageId>& prefetch_pages,
-                         const PrefetcherOptions& prefetch_options,
-                         SimEnvironment* env) {
+QueryRunMetrics ReplayQuery(const QueryTrace& trace,
+                            const std::vector<PageId>& prefetch_pages,
+                            const PrefetcherOptions& prefetch_options,
+                            SimEnvironment* env) {
   std::vector<ConcurrentQuery> solo(1);
   solo[0].trace = &trace;
   solo[0].prefetch_pages = prefetch_pages;
   solo[0].prefetch_options = prefetch_options;
-  ConcurrentResult run = ReplayConcurrent(solo, {}, env);
-  QueryRunMetrics& m = run.queries[0];
-  ReplayResult result;
-  result.status = std::move(m.status);
-  result.elapsed_us = m.elapsed_us;
-  result.completed_accesses = m.completed_accesses;
-  result.pool_stats = m.pool_stats;
-  result.prefetch_stats = m.prefetch_stats;
-  return result;
+  return std::move(ReplayConcurrent(solo, {}, env).queries[0]);
 }
 
 ConcurrentResult ReplayConcurrent(const std::vector<ConcurrentQuery>& queries,
@@ -405,33 +365,31 @@ ConcurrentResult ReplayConcurrent(const std::vector<ConcurrentQuery>& queries,
     result.total_query_us += result.end_us[i] - result.start_us[i];
   }
   if (solo) {
-    result.queries[0].pool_stats = StatsDelta(env->pool().stats(), pool_before);
+    result.queries[0].pool_stats =
+        SubtractStats(env->pool().stats(), pool_before);
   }
   return result;
 }
 
 ParallelReplayResult ReplayParallelFleet(
-    const std::vector<ParallelReplayThread>& threads,
-    const ParallelReplayOptions& options, SimEnvironment* env) {
+    const std::vector<ConcurrentQuery>& threads, SimEnvironment* env) {
   const size_t n = threads.size();
   ParallelReplayResult result;
   result.threads.resize(n);
   const BufferPoolStats stats_before = env->pool().stats();
   const BufferPoolLockStats lock_before = env->pool().lock_stats();
 
-  // One fleet thread is one solo replay. The tracer's SetTime/SetTrack are
+  // One fleet thread is one batch of one. The tracer's SetTime/SetTrack are
   // single-threaded, which is why tracing must be off around this call
   // (the engine only touches them when it is on).
   auto run_thread = [&](size_t idx) {
-    PrefetcherOptions opts = options.prefetch;
-    opts.governor = nullptr;  // the ladder is single-threaded control
-    const ReplayResult r = ReplayQuery(*threads[idx].trace,
-                                       threads[idx].prefetch_pages, opts, env);
-    ParallelThreadResult& out = result.threads[idx];
-    out.status = r.status;
-    out.elapsed_us = r.elapsed_us;
-    out.completed_accesses = r.completed_accesses;
-    out.prefetch_stats = r.prefetch_stats;
+    std::vector<ConcurrentQuery> solo = {threads[idx]};
+    solo[0].prefetch_options.governor = nullptr;  // single-threaded control
+    QueryRunMetrics& out = result.threads[idx];
+    out = std::move(ReplayConcurrent(solo, {}, env).queries[0]);
+    // The batch-of-one delta counts every thread's traffic over this
+    // thread's run; only the whole run's delta below is meaningful.
+    out.pool_stats = BufferPoolStats{};
   };
 
   const auto wall_start = std::chrono::steady_clock::now();
@@ -446,13 +404,8 @@ ParallelReplayResult ReplayParallelFleet(
           std::chrono::steady_clock::now() - wall_start)
           .count();
 
-  result.pool_stats = StatsDelta(env->pool().stats(), stats_before);
-  const BufferPoolLockStats lock_after = env->pool().lock_stats();
-  result.lock_stats.acquisitions =
-      lock_after.acquisitions - lock_before.acquisitions;
-  result.lock_stats.contended = lock_after.contended - lock_before.contended;
-  result.lock_stats.wait_ns = lock_after.wait_ns - lock_before.wait_ns;
-  result.lock_stats.hold_ns = lock_after.hold_ns - lock_before.hold_ns;
+  result.pool_stats = SubtractStats(env->pool().stats(), stats_before);
+  result.lock_stats = SubtractStats(env->pool().lock_stats(), lock_before);
   return result;
 }
 

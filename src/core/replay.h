@@ -13,6 +13,11 @@
 // queue bound they are rejected), per-query deadline budgets (a query past
 // its budget sheds its prefetch session and finishes on demand reads), and
 // the PrefetchGovernor's graceful-degradation ladder.
+//
+// One replay surface: ReplayConcurrent is the engine, and every entry point
+// speaks its types — a ConcurrentQuery in, a QueryRunMetrics out.
+// SimEnvironment builds the storage stack one way at every width: one fault
+// injector and one SimulatedDisk per OS-cache channel.
 #ifndef PYTHIA_CORE_REPLAY_H_
 #define PYTHIA_CORE_REPLAY_H_
 
@@ -43,11 +48,11 @@ struct SimOptions {
   size_t io_channels = 8;
   // Lock-striped buffer-pool shards (PageId-hash keyed) and OS-cache/disk
   // channels (object-id keyed). 1 each (the defaults) is the historical
-  // single-lock stack, bit-identical on every seed bench. With
-  // storage_channels > 1 each channel gets its own fault-injector stream
-  // (seed derived from faults.seed and the channel index) and its own
-  // SimulatedDisk handle (same content seed, so images are identical), so
-  // multi-threaded replays never race on a shared RNG.
+  // single-lock stack, bit-identical on every seed bench. Every channel
+  // gets its own fault-injector stream (channel c seeded
+  // faults.seed ^ (0x9e3779b97f4a7c15 * c), so channel 0 keeps the base
+  // seed) and its own SimulatedDisk (same content seed, so images are
+  // identical), so multi-threaded replays never race on a shared RNG.
   size_t buffer_shards = 1;
   size_t storage_channels = 1;
   // Wall-clock lock wait/hold instrumentation on the pool shards (see
@@ -68,11 +73,10 @@ struct SimOptions {
   // channel_health.hedging_enabled).
   ChannelHealthOptions channel_health;
   // Per-channel brownout breakers shedding speculative traffic off
-  // gray-failing channels (core/channel_breaker.h). Requires
-  // channel_health.enabled; the board is injected into every replay-built
-  // prefetch session that does not already carry one.
+  // gray-failing channels (core/channel_breaker.h, default options).
+  // Requires channel_health.enabled; the board is injected into every
+  // replay-built prefetch session that does not already carry one.
   bool channel_breakers = false;
-  ChannelBreakerOptions channel_breaker;
   // Single-gray-channel scenario: when >= 0, only this storage channel's
   // fault injector keeps the configured brownout window; every other
   // channel's derived injector has it stripped. < 0 = the brownout config
@@ -86,11 +90,11 @@ class SimEnvironment {
 
   // Postgres restart + `drop_caches`: empties the buffer pool, the OS page
   // cache and the I/O channel timelines. Deliberately does NOT reset the
-  // fault injector: faults are a property of the device over time, not of
+  // fault injectors: faults are a property of the device over time, not of
   // the database restart. Use ResetFaults() for paired experiment arms.
   void ColdRestart();
 
-  // Rewinds the fault injector to its seeded state (and clears its stats)
+  // Rewinds every fault injector to its seeded state (and clears its stats)
   // so two experiment arms observe the identical fault sequence.
   void ResetFaults();
 
@@ -101,13 +105,13 @@ class SimEnvironment {
   // disk.
   void ResetChannelHealth();
 
+  // Channel c's fault injector and disk are
+  // os_cache().channel_fault_injector(c) and channel_disk(c): nullptr when
+  // fault injection is disabled, resp. unless corruption faults or
+  // verify_page_checksums are on.
   OsPageCache& os_cache() { return *os_cache_; }
   BufferPool& pool() { return *pool_; }
   IoScheduler& io() { return *io_; }
-  // nullptr when fault injection is disabled.
-  FaultInjector* fault_injector() { return injector_.get(); }
-  // nullptr unless corruption faults or verify_page_checksums are on.
-  SimulatedDisk* disk() { return disk_.get(); }
   // nullptr unless channel_health.enabled. Covers the OS-cache storage
   // channels.
   ChannelHealthTracker* channel_health() { return health_.get(); }
@@ -117,14 +121,12 @@ class SimEnvironment {
 
  private:
   SimOptions options_;
-  std::unique_ptr<FaultInjector> injector_;
-  std::unique_ptr<SimulatedDisk> disk_;
-  // With storage_channels > 1: per-channel injector/disk instances for
-  // channels 1..N-1 (channel 0 keeps injector_/disk_), plus a dedicated
-  // injector for the AIO scheduler so its stall stream never races the
-  // channel read streams across threads.
-  std::vector<std::unique_ptr<FaultInjector>> channel_injectors_;
-  std::vector<std::unique_ptr<SimulatedDisk>> channel_disks_;
+  // One injector and one disk per storage channel (empty when disabled).
+  // With storage_channels > 1 the AIO scheduler draws stalls from its own
+  // injector, so its stall stream never races the channel read streams
+  // across threads; one channel shares channel 0's.
+  std::vector<std::unique_ptr<FaultInjector>> injectors_;
+  std::vector<std::unique_ptr<SimulatedDisk>> disks_;
   std::unique_ptr<FaultInjector> aio_injector_;
   std::unique_ptr<OsPageCache> os_cache_;
   std::unique_ptr<BufferPool> pool_;
@@ -133,25 +135,17 @@ class SimEnvironment {
   std::unique_ptr<ChannelBreakerBoard> breakers_;
 };
 
-struct ReplayResult {
-  // Non-OK when a foreground read exhausted its retry budget; the replay
-  // stops at the failing access with all prefetch pins released.
-  Status status;
-  SimTime elapsed_us = 0;
-  uint64_t completed_accesses = 0;
-  BufferPoolStats pool_stats;      // delta for this replay
-  PrefetchSessionStats prefetch_stats;
-};
-
-// Replays one query: a batch of one for ReplayConcurrent below, arriving at
-// 0, with no loop-level governor (a governor in `prefetch_options` still
-// governs the session). `prefetch_pages` empty means no prefetching (DFLT).
-// Does not reset the environment — callers decide between cold and warm
-// runs.
-ReplayResult ReplayQuery(const QueryTrace& trace,
-                         const std::vector<PageId>& prefetch_pages,
-                         const PrefetcherOptions& prefetch_options,
-                         SimEnvironment* env);
+// Replays one query: queries[0] of a batch of one for ReplayConcurrent
+// below, arriving at 0, with no loop-level governor (a governor in
+// `prefetch_options` still governs the session). `prefetch_pages` empty
+// means no prefetching (DFLT). Its status is non-OK when a foreground read
+// exhausted its retry budget; the replay then stops at the failing access
+// with all prefetch pins released. Does not reset the environment —
+// callers decide between cold and warm runs.
+QueryRunMetrics ReplayQuery(const QueryTrace& trace,
+                            const std::vector<PageId>& prefetch_pages,
+                            const PrefetcherOptions& prefetch_options,
+                            SimEnvironment* env);
 
 // One query of a concurrent batch.
 struct ConcurrentQuery {
@@ -235,50 +229,34 @@ ConcurrentResult ReplayConcurrent(const std::vector<ConcurrentQuery>& queries,
 //
 // ReplayConcurrent above interleaves queries on ONE OS thread in virtual
 // time; it measures what the queries experience, not whether the storage
-// stack scales. This arm runs one real std::thread per entry, each a
-// ReplayQuery, all hammering the shared sharded pool / striped cache /
-// scheduler concurrently — the workload `bench_shard` uses to show lock
-// striping removed the single-mutex ceiling. Determinism story: thread
-// interleaving is real and uncontrolled, so per-thread latency totals vary
-// run to run; what IS deterministic (and asserted by tests) is the merge
-// structure — threads are joined and their results recorded in thread
-// index order, pool stats reduce over shards in shard order — plus the
-// interleaving-independent invariants: every access of every trace
-// completes exactly once, and no pins are leaked. Sessions run ungoverned
-// (PrefetchGovernor is single-threaded control logic) and tracing should be
-// disabled around this call (per-thread trace context is not supported).
-
-// One fleet thread: a query trace plus an optional prefetch plan.
-struct ParallelReplayThread {
-  const QueryTrace* trace = nullptr;
-  std::vector<PageId> prefetch_pages;  // empty = demand reads only
-};
-
-struct ParallelReplayOptions {
-  // Session knobs for threads that carry prefetch pages. The governor field
-  // is ignored (forced to nullptr): the ladder is not thread-safe.
-  PrefetcherOptions prefetch;
-};
-
-struct ParallelThreadResult {
-  Status status;
-  SimTime elapsed_us = 0;          // the thread's own virtual clock at end
-  uint64_t completed_accesses = 0;
-  PrefetchSessionStats prefetch_stats;
-};
+// stack scales. This arm runs one real std::thread per spec, each a batch
+// of one on ReplayConcurrent, all hammering the shared sharded pool /
+// striped cache / scheduler concurrently — the workload `bench_shard` uses
+// to show lock striping removed the single-mutex ceiling. Determinism
+// story: thread interleaving is real and uncontrolled, so per-thread
+// latency totals vary run to run; what IS deterministic (and asserted by
+// tests) is the merge structure — threads are joined and their results
+// recorded in thread index order, pool stats reduce over shards in shard
+// order — plus the interleaving-independent invariants: every access of
+// every trace completes exactly once, and no pins are leaked. Each spec's
+// governor is cleared (PrefetchGovernor is single-threaded control logic),
+// and tracing should be disabled around this call (per-thread trace
+// context is not supported).
 
 struct ParallelReplayResult {
   // Real wall-clock time of the threaded region (spawn of the first thread
   // to join of the last), the throughput numerator for bench_shard.
   double wall_ms = 0.0;
-  std::vector<ParallelThreadResult> threads;  // thread index order
-  BufferPoolStats pool_stats;                 // delta over the run
-  BufferPoolLockStats lock_stats;             // delta over the run
+  // One per spec, in thread index order. pool_stats stays zero, as in any
+  // batch of two or more: the pool is shared, so the per-thread deltas are
+  // not separable; the delta over the whole run is pool_stats below.
+  std::vector<QueryRunMetrics> threads;
+  BufferPoolStats pool_stats;      // delta over the run
+  BufferPoolLockStats lock_stats;  // delta over the run
 };
 
 ParallelReplayResult ReplayParallelFleet(
-    const std::vector<ParallelReplayThread>& threads,
-    const ParallelReplayOptions& options, SimEnvironment* env);
+    const std::vector<ConcurrentQuery>& threads, SimEnvironment* env);
 
 }  // namespace pythia
 

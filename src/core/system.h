@@ -108,14 +108,12 @@ class PythiaSystem {
                                  const WorkloadQuery& query) const;
 
   SimEnvironment* env() { return env_; }
-  double match_threshold() const { return match_threshold_; }
   void set_match_threshold(double t) { match_threshold_ = t; }
 
   // Guardrail: when recent prefetch sessions have been unhealthy (faulty,
   // timed out, or mostly wasted), the breaker degrades prefetch-eligible
   // queries to the plain buffer manager and half-open-probes back later.
   CircuitBreaker& breaker() { return breaker_; }
-  const PrefetchHealthPolicy& health_policy() const { return health_policy_; }
   void set_health_policy(const PrefetchHealthPolicy& p) { health_policy_ = p; }
   void set_breaker_options(const CircuitBreakerOptions& o) {
     breaker_ = CircuitBreaker(o);
@@ -126,7 +124,6 @@ class PythiaSystem {
   // sequential-readahead baseline and re-probed after a probation period.
   // Setting options resets every model's watchdog to the new policy.
   void set_watchdog_options(const WatchdogOptions& o);
-  const WatchdogOptions& watchdog_options() const { return watchdog_options_; }
   // Watchdog of the `index`-th registered workload (registration order).
   PredictionWatchdog& watchdog(size_t index) {
     return entries_[index]->watchdog;

@@ -2,17 +2,6 @@
 
 namespace pythia {
 
-const char* PlanNodeTypeName(PlanNodeType type) {
-  switch (type) {
-    case PlanNodeType::kSeqScan: return "SeqScan";
-    case PlanNodeType::kIndexScan: return "IndexScan";
-    case PlanNodeType::kNestedLoopJoin: return "NestedLoopJoin";
-    case PlanNodeType::kHashJoin: return "HashJoin";
-    case PlanNodeType::kAggregate: return "Aggregate";
-  }
-  return "Unknown";
-}
-
 std::unique_ptr<PlanNode> PlanNode::SeqScan(std::string relation,
                                             std::vector<Predicate> filters) {
   auto node = std::make_unique<PlanNode>();

@@ -25,8 +25,6 @@ enum class PlanNodeType {
   kAggregate,       // COUNT(*) terminal node
 };
 
-const char* PlanNodeTypeName(PlanNodeType type);
-
 // Range predicate lo <= column <= hi (equality when lo == hi).
 struct Predicate {
   std::string column;

@@ -434,13 +434,6 @@ void AddBiasReluInPlace(Matrix* x, const Matrix& bias) {
   }
 }
 
-void ReluInPlace(Matrix* x) {
-  float* d = x->data();
-  for (size_t i = 0; i < x->size(); ++i) {
-    if (d[i] < 0.0f) d[i] = 0.0f;
-  }
-}
-
 Matrix SoftmaxRows(const Matrix& logits) {
   Matrix out;
   SoftmaxRowsInto(logits, &out);

@@ -91,7 +91,6 @@ void MatMulATAccum(const Matrix& a, const Matrix& b, Matrix* out);
 // Fused epilogues. `bias` is (1 x cols).
 void AddBiasInPlace(Matrix* x, const Matrix& bias);       // x += bias (rows)
 void AddBiasReluInPlace(Matrix* x, const Matrix& bias);   // x = relu(x+bias)
-void ReluInPlace(Matrix* x);
 
 // Returns a copy with each row softmax-normalized. Numerically stabilized by
 // subtracting the row max.

@@ -17,17 +17,9 @@ OsPageCache::OsPageCache(const Options& options, const LatencyModel& latency)
   }
 }
 
-void OsPageCache::set_fault_injector(FaultInjector* injector) {
-  for (auto& ch : channels_) ch->injector = injector;
-}
-
 void OsPageCache::set_channel_fault_injector(size_t channel,
                                              FaultInjector* injector) {
   channels_[channel]->injector = injector;
-}
-
-void OsPageCache::set_disk(SimulatedDisk* disk) {
-  for (auto& ch : channels_) ch->disk = disk;
 }
 
 void OsPageCache::set_channel_disk(size_t channel, SimulatedDisk* disk) {

@@ -19,6 +19,9 @@
 // channel. `num_channels = 1` (the default) is the historical single-lock
 // cache, bit-identical on every seed bench; counter accessors sum over
 // channels in index order so aggregates stay deterministic at any width.
+// Fault injectors and devices attach one way, per channel
+// (set_channel_fault_injector, set_channel_disk): SimEnvironment
+// (core/replay.h) builds one of each per channel, whatever the width.
 #ifndef PYTHIA_STORAGE_OS_CACHE_H_
 #define PYTHIA_STORAGE_OS_CACHE_H_
 
@@ -87,16 +90,11 @@ class OsPageCache {
   // cross-channel reads are lock-free atomics).
   Result<OsReadResult> Read(PageId page, bool hedge_eligible = true);
 
-  // Attaches a fault injector consulted on every disk read of EVERY
-  // channel. May be nullptr (the default): reads are then infallible. Not
-  // owned; must outlive the cache or be detached first. FaultInjector is
-  // not itself thread-safe — multi-threaded runs with faults enabled must
-  // give each channel its own injector via set_channel_fault_injector so
-  // the channel mutex serializes each stream.
-  void set_fault_injector(FaultInjector* injector);
-  FaultInjector* fault_injector() const {
-    return channels_[0]->injector;
-  }
+  // Attaches the fault injector consulted on every disk read of `channel`.
+  // May be nullptr (the default): that channel's reads are then
+  // infallible. Not owned; must outlive the cache or be detached first.
+  // FaultInjector is not itself thread-safe, so each channel gets its own
+  // and the channel mutex serializes its stream.
   void set_channel_fault_injector(size_t channel, FaultInjector* injector);
   FaultInjector* channel_fault_injector(size_t channel) const {
     return channels_[channel]->injector;
@@ -109,15 +107,13 @@ class OsPageCache {
   SimTime RetryBackoff(PageId page, const RetryPolicy& policy,
                        uint32_t attempt);
 
-  // Attaches the device with real page images to EVERY channel. May be
-  // nullptr (the default): reads are then latency-only and never corrupt.
-  // Not owned. With a disk attached, every image entering the cache —
-  // demand reads and kernel readahead alike — is verified first, so the
-  // cache can only ever serve verified pages. SimulatedDisk mutates its own
-  // stats on reads — multi-threaded runs must give each channel its own
-  // disk (same content seed ⇒ identical images) via set_channel_disk.
-  void set_disk(SimulatedDisk* disk);
-  SimulatedDisk* disk() const { return channels_[0]->disk; }
+  // Attaches the device with real page images to `channel`. May be nullptr
+  // (the default): that channel's reads are then latency-only and never
+  // corrupt. Not owned. With a disk attached, every image entering the
+  // channel — demand reads and kernel readahead alike — is verified first,
+  // so the cache can only ever serve verified pages. SimulatedDisk mutates
+  // its own stats on reads, so each channel gets its own disk (same content
+  // seed ⇒ identical images).
   void set_channel_disk(size_t channel, SimulatedDisk* disk);
   SimulatedDisk* channel_disk(size_t channel) const {
     return channels_[channel]->disk;
@@ -142,7 +138,6 @@ class OsPageCache {
   // may be nullptr (no health tracking, no hedging — the default). Should
   // be sized to num_channels(); a narrower tracker folds channels together.
   void set_health_tracker(ChannelHealthTracker* health) { health_ = health; }
-  ChannelHealthTracker* health_tracker() const { return health_; }
 
   // Governor hook mirroring set_readahead_suppressed: while suppressed no
   // new hedges are issued (forwarded to the tracker; no-op without one).

@@ -6,6 +6,13 @@
 
 namespace pythia {
 
+namespace {
+
+// Zipf popularity skew across a fleet's workloads (templates).
+constexpr double kTemplateTheta = 0.8;
+
+}  // namespace
+
 size_t Workload::DistinctPlans() const {
   std::unordered_set<std::string> keys;
   for (const WorkloadQuery& q : queries) keys.insert(q.structure_key);
@@ -77,7 +84,7 @@ std::vector<FleetSessionSpec> GenerateFleetArrivals(
   Pcg32 pop_rng(options.seed, /*stream=*/0xB2);
 
   ZipfianPicker template_picker(queries_per_workload.size(),
-                                options.template_theta);
+                                kTemplateTheta);
   std::vector<ZipfianPicker> query_pickers;
   query_pickers.reserve(queries_per_workload.size());
   for (size_t n : queries_per_workload) {

@@ -94,16 +94,16 @@ struct FleetOptions {
   size_t burst_size = 64;            // bursty: sessions per burst
   uint64_t burst_gap_us = 50000;     // bursty: gap between burst starts
   uint64_t intra_burst_gap_us = 10;  // bursty: spacing inside one burst
-  double template_theta = 0.8;       // popularity skew across workloads
   double query_theta = 0.9;          // popularity skew within a workload
   uint32_t num_tenants = 8;
   uint64_t seed = 1234;
 };
 
 // Samples `num_sessions` session specs with nondecreasing arrival times.
-// Template and query popularity are Zipf-skewed (rank == index: lower
-// indices are hotter), so a fleet revisits hot plans often — which is what
-// both the prediction cache and the batch dedupe window feed on. Arrival
+// Template (theta 0.8) and query (query_theta) popularity are Zipf-skewed
+// (rank == index: lower indices are hotter), so a fleet revisits hot plans
+// often — which is what both the prediction cache and the batch dedupe
+// window feed on. Arrival
 // timing and popularity draw from two independent seeded Pcg32 streams, so
 // switching the arrival process never perturbs which queries are sampled.
 std::vector<FleetSessionSpec> GenerateFleetArrivals(

@@ -703,7 +703,7 @@ TEST(GovernorHedgingTest, LadderSuppressesAndRestoresHedging) {
   pool_opts.capacity_pages = 4;
   BufferPool pool(pool_opts, &cache, latency);
   IoScheduler io(2);
-  GovernorOptions gov_opts;  // suppress_hedging_at = kReadahead (default)
+  GovernorOptions gov_opts;  // hedging is suppressed from kReadahead on
   PrefetchGovernor governor(gov_opts, &pool, &io, &cache);
 
   // Saturate the pool: every frame pinned -> pressure 1.0 -> kNoPrefetch.
@@ -773,7 +773,7 @@ TEST(GrayFailureEndToEndTest, HedgedReplayIsDeterministicAndFaster) {
     SimOptions opts = GrayEnvOptions(hedging);
     opts.brownout_channel = victim;
     SimEnvironment env(opts);
-    const ReplayResult r = ReplayQuery(trace, {}, PrefetcherOptions{}, &env);
+    const QueryRunMetrics r = ReplayQuery(trace, {}, PrefetcherOptions{}, &env);
     EXPECT_TRUE(r.status.ok());
     EXPECT_EQ(r.completed_accesses, trace.accesses.size());
     return std::make_pair(r.elapsed_us, r.pool_stats);
@@ -801,7 +801,7 @@ TEST(GrayFailureEndToEndTest, BrownoutChannelScopingConfinesInjection) {
   const size_t victim = probe.os_cache().ChannelOf(trace.accesses[0].page);
   opts.brownout_channel = static_cast<int>(victim);
   SimEnvironment env(opts);
-  const ReplayResult r = ReplayQuery(trace, {}, PrefetcherOptions{}, &env);
+  const QueryRunMetrics r = ReplayQuery(trace, {}, PrefetcherOptions{}, &env);
   ASSERT_TRUE(r.status.ok());
   for (size_t c = 0; c < env.os_cache().num_channels(); ++c) {
     const FaultInjector* inj = env.os_cache().channel_fault_injector(c);
@@ -851,9 +851,10 @@ TEST(GrayFailureEndToEndTest, HedgeSoakParallelFleet) {
   for (size_t t = 0; t < kThreads; ++t) {
     traces.push_back(RandomTrace(300, 16 + t));
   }
-  std::vector<ParallelReplayThread> fleet(kThreads);
+  std::vector<ConcurrentQuery> fleet(kThreads);
   for (size_t t = 0; t < kThreads; ++t) {
     fleet[t].trace = &traces[t];
+    fleet[t].prefetch_options.start_delay_us = 0;
     if (t % 2 == 1) {
       // Odd threads also run a speculative session over their own pages, so
       // breaker denials and hedged foreground reads interleave.
@@ -862,10 +863,7 @@ TEST(GrayFailureEndToEndTest, HedgeSoakParallelFleet) {
       }
     }
   }
-  ParallelReplayOptions fleet_opts;
-  fleet_opts.prefetch.start_delay_us = 0;
-  const ParallelReplayResult result =
-      ReplayParallelFleet(fleet, fleet_opts, &env);
+  const ParallelReplayResult result = ReplayParallelFleet(fleet, &env);
   for (size_t t = 0; t < kThreads; ++t) {
     EXPECT_TRUE(result.threads[t].status.ok()) << "thread " << t;
     EXPECT_EQ(result.threads[t].completed_accesses,

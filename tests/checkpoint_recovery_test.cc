@@ -286,7 +286,6 @@ CheckpointManifest SampleManifest() {
   w.fingerprint = 0xabcdef;
   w.model_path = "/tmp/x.pywm";
   w.primary = {true, 1234, 0xdeadbeef};
-  w.lkg = {true, 1234, 0xdeadbeef};
   w.watchdog.health = 1;
   w.watchdog.window = {0.1, 0.9, 0.5};
   w.watchdog.probation_remaining = 4;
@@ -296,7 +295,6 @@ CheckpointManifest SampleManifest() {
   w.adaptation.phase = 3;
   w.adaptation.cooldown_remaining = 9;
   w.adaptation.rounds = 2;
-  w.adaptation.mean_useful_ratio = 0.42;
   m.workloads.push_back(w);
   CheckpointCacheEntry e;
   e.model_id = 0;
@@ -327,8 +325,9 @@ TEST_F(CheckpointRecoveryTest, ManifestRoundTrips) {
   EXPECT_EQ(got.workloads[0].watchdog.window, m.workloads[0].watchdog.window);
   EXPECT_EQ(got.workloads[0].watchdog.stats.sessions_judged, 40u);
   ASSERT_TRUE(got.workloads[0].has_adaptation);
+  EXPECT_EQ(got.workloads[0].adaptation.phase, 3u);
   EXPECT_EQ(got.workloads[0].adaptation.cooldown_remaining, 9u);
-  EXPECT_DOUBLE_EQ(got.workloads[0].adaptation.mean_useful_ratio, 0.42);
+  EXPECT_EQ(got.workloads[0].adaptation.rounds, 2u);
   ASSERT_EQ(got.cache.size(), 1u);
   EXPECT_EQ(got.cache[0].plan, "plan\x1ftokens");
   EXPECT_EQ(got.cache[0].pages, m.cache[0].pages);
@@ -432,9 +431,8 @@ TEST_F(CheckpointRecoveryTest, ManifestRecordsTheIdentitiesOnDisk) {
     ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
     const CheckpointWorkloadState& w = manifest->workloads[0];
     EXPECT_TRUE(w.primary == FileIdentityOf(model_path)) << torn;
-    EXPECT_TRUE(w.lkg == FileIdentityOf(model_path + ".lkg")) << torn;
     // The sidecar is a byte copy of the primary as it reached disk.
-    EXPECT_TRUE(w.lkg == w.primary) << torn;
+    EXPECT_TRUE(FileIdentityOf(model_path + ".lkg") == w.primary) << torn;
     if (torn) {
       EXPECT_EQ(injector.stats().injected_durable_torn_writes, 1u);
       EXPECT_LT(w.primary.size, whole_size);
@@ -606,6 +604,46 @@ TEST_F(CheckpointRecoveryTest, CorruptNewestManifestFallsBackAGeneration) {
   EXPECT_TRUE(report->workloads[0].manifest_match);
 }
 
+TEST_F(CheckpointRecoveryTest, VersionOneManifestIsSkippedNotQuarantined) {
+  // A manifest in the version-1 layout (which still carried the .lkg
+  // identity) is a clean version mismatch, not damage: recovery skips it
+  // without quarantine and loads the older current-version generation.
+  const std::string dir = NewDir("rec_v1");
+  const std::string model_path = dir + "/wm.pywm";
+  auto system = MakeSystem();
+  CheckpointManager mgr(dir, CheckpointOptions());
+  ASSERT_TRUE(mgr.Checkpoint(*system, {model_path}).ok());
+  system.reset();
+  // Generation 2 is generation 1's file with the frame's version field set
+  // to 1. The CRC covers only the payload, so the frame stays valid.
+  Result<std::string> file =
+      ReadFileBytes(CheckpointManager::ManifestPath(dir, 1));
+  ASSERT_TRUE(file.ok());
+  std::string v1 = file.value();
+  const uint32_t version = 1;
+  std::memcpy(&v1[4], &version, sizeof(version));
+  const std::string gen2 = CheckpointManager::ManifestPath(dir, 2);
+  ASSERT_TRUE(WriteFileAtomic(gen2, v1.data(), v1.size()).ok());
+  ASSERT_EQ(CheckpointManager::LoadManifest(gen2).status().code(),
+            StatusCode::kFailedPrecondition);
+
+  const RecoveryCounters before = RecoveryCountersSnapshot();
+  PythiaSystem restarted(nullptr);
+  RecoveryManager rm(dir);
+  Result<RecoveryReport> report =
+      rm.Recover(&restarted, {SpecFor(model_path)});
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(RecoveryCountersSnapshot().generations_discarded,
+            before.generations_discarded + 1);
+  EXPECT_TRUE(report->manifest_loaded);
+  EXPECT_EQ(report->manifest_generation, 1u);
+  EXPECT_EQ(report->manifests_quarantined, 0u);
+  EXPECT_TRUE(std::filesystem::exists(gen2));
+  EXPECT_FALSE(std::filesystem::exists(gen2 + ".corrupt"));
+  EXPECT_EQ(report->workloads[0].source, RecoverySource::kPrimary);
+  EXPECT_TRUE(report->workloads[0].manifest_match);
+}
+
 TEST_F(CheckpointRecoveryTest, CrashMidManifestKeepsPriorGeneration) {
   const std::string dir = NewDir("rec_midmanifest");
   const std::string model_path = dir + "/wm.pywm";
@@ -773,12 +811,12 @@ std::vector<LieSite> ManifestLieSites(const std::string& file) {
   for (uint64_t i = 0; i < workloads; ++i) {
     w.Skip(8 + 8);  // revision, fingerprint
     w.Skip(w.Length<uint64_t>("model path length"));
-    w.Skip(2 * (1 + 8 + 4));  // primary and lkg identities
-    w.Skip(4);                // watchdog health
+    w.Skip(1 + 8 + 4);  // primary identity
+    w.Skip(4);          // watchdog health
     w.Skip(w.Length<uint64_t>("watchdog window count") * sizeof(double));
     // probation, probe successes, post-swap remaining, demoted flag, five
-    // watchdog stats; adaptation flag, phase, four counters, mean ratio.
-    w.Skip(3 * 8 + 1 + 5 * 8 + 1 + 4 + 4 * 8 + 8);
+    // watchdog stats; adaptation flag, phase, cooldown, rounds.
+    w.Skip(3 * 8 + 1 + 5 * 8 + 1 + 4 + 2 * 8);
   }
   const uint64_t entries = w.Length<uint64_t>("cache entry count");
   for (uint64_t i = 0; i < entries; ++i) {

@@ -133,16 +133,16 @@ TEST(FaultyOsCacheTest, TransientErrorLeavesCacheUntouched) {
   OsPageCache cache(
       OsPageCache::Options{.capacity_pages = 64, .readahead_pages = 4},
       latency);
-  cache.set_fault_injector(&injector);
+  cache.set_channel_fault_injector(0, &injector);
   const Result<OsReadResult> r = cache.Read(PageId{1, 10});
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kIoError);
   EXPECT_EQ(cache.cached_pages(), 0u);
   EXPECT_EQ(cache.failed_reads(), 1u);
   // Hits never fault: preload a page with injection off, then re-enable.
-  cache.set_fault_injector(nullptr);
+  cache.set_channel_fault_injector(0, nullptr);
   ASSERT_TRUE(cache.Read(PageId{2, 0}).ok());
-  cache.set_fault_injector(&injector);
+  cache.set_channel_fault_injector(0, &injector);
   const Result<OsReadResult> hit = cache.Read(PageId{2, 0});
   ASSERT_TRUE(hit.ok());
   EXPECT_EQ(hit->source, AccessSource::kOsCache);
@@ -159,7 +159,7 @@ TEST(FaultyBufferPoolTest, ForegroundReadRetriesUntilSuccess) {
   OsPageCache cache(
       OsPageCache::Options{.capacity_pages = 256, .readahead_pages = 0},
       latency);
-  cache.set_fault_injector(&injector);
+  cache.set_channel_fault_injector(0, &injector);
   BufferPool pool(BufferPool::Options{.capacity_pages = 64}, &cache,
                   latency);
   uint64_t total_retries = 0;
@@ -184,7 +184,7 @@ TEST(FaultyBufferPoolTest, ExhaustedRetriesSurfaceIoError) {
   config.transient_error_prob = 1.0;  // every attempt fails
   FaultInjector injector(config);
   OsPageCache cache(OsPageCache::Options{}, latency);
-  cache.set_fault_injector(&injector);
+  cache.set_channel_fault_injector(0, &injector);
   BufferPool::Options options;
   options.capacity_pages = 8;
   options.retry.max_attempts = 3;
@@ -220,32 +220,33 @@ TEST(FaultyReplayTest, QueriesCompleteWithCorrectAccounting) {
   PrefetcherOptions options;
   options.start_delay_us = 0;
   const std::vector<PageId> oracle = OraclePages(trace);
-  const ReplayResult r = ReplayQuery(trace, oracle, options, &env);
+  const QueryRunMetrics r = ReplayQuery(trace, oracle, options, &env);
   ASSERT_TRUE(r.status.ok()) << r.status.ToString();
   EXPECT_EQ(r.completed_accesses, trace.accesses.size());
   EXPECT_EQ(r.pool_stats.fetches, trace.accesses.size());
   EXPECT_EQ(r.pool_stats.failed_fetches, 0u);
   EXPECT_EQ(env.pool().pinned_frames(), 0u);
-  ASSERT_NE(env.fault_injector(), nullptr);
-  EXPECT_GT(env.fault_injector()->stats().disk_reads_probed, 0u);
+  const FaultInjector* injector = env.os_cache().channel_fault_injector(0);
+  ASSERT_NE(injector, nullptr);
+  EXPECT_GT(injector->stats().disk_reads_probed, 0u);
 }
 
 TEST(FaultyReplayTest, FaultsCostTimeButKeepPrefetchWinning) {
   const QueryTrace trace = MakeMixedTrace(60, 240);
 
   SimEnvironment clean(FaultySim(0.0, 0.0));
-  const ReplayResult base =
+  const QueryRunMetrics base =
       ReplayQuery(trace, {}, PrefetcherOptions{}, &clean);
 
   SimEnvironment faulty(FaultySim(0.01, 0.001));
-  const ReplayResult dflt =
+  const QueryRunMetrics dflt =
       ReplayQuery(trace, {}, PrefetcherOptions{}, &faulty);
   EXPECT_GE(dflt.elapsed_us, base.elapsed_us);
 
   faulty.ColdRestart();
   PrefetcherOptions options;
   options.start_delay_us = 0;
-  const ReplayResult fetched =
+  const QueryRunMetrics fetched =
       ReplayQuery(trace, OraclePages(trace), options, &faulty);
   ASSERT_TRUE(fetched.status.ok());
   EXPECT_LT(fetched.elapsed_us, dflt.elapsed_us);
@@ -261,7 +262,7 @@ TEST(FaultyReplayTest, DeterministicGivenSeed) {
     SimEnvironment env(FaultySim(0.02, 0.005, seed));
     return ReplayQuery(trace, oracle, options, &env);
   };
-  const ReplayResult a = run(42), b = run(42), c = run(43);
+  const QueryRunMetrics a = run(42), b = run(42), c = run(43);
   EXPECT_EQ(a.elapsed_us, b.elapsed_us);
   EXPECT_EQ(a.pool_stats.read_retries, b.pool_stats.read_retries);
   EXPECT_EQ(a.prefetch_stats.dropped_faulty, b.prefetch_stats.dropped_faulty);
@@ -277,7 +278,7 @@ TEST(FaultyReplayTest, PrefetchDropsAreNeverQueryFailures) {
   SimEnvironment env(FaultySim(0.30, 0.0, 77));
   PrefetcherOptions options;
   options.start_delay_us = 0;
-  const ReplayResult r =
+  const QueryRunMetrics r =
       ReplayQuery(trace, OraclePages(trace), options, &env);
   ASSERT_TRUE(r.status.ok()) << r.status.ToString();
   EXPECT_EQ(r.completed_accesses, trace.accesses.size());
@@ -520,16 +521,17 @@ TEST(CorruptReadTest, ForegroundReadRecoversViaRetry) {
   // attempts effectively impossible, so every fetch eventually verifies.
   const QueryTrace trace = MakeMixedTrace(40, 200);
   SimEnvironment env(CorruptSim(0.20, 42));
-  const ReplayResult r = ReplayQuery(trace, {}, PrefetcherOptions{}, &env);
+  const QueryRunMetrics r = ReplayQuery(trace, {}, PrefetcherOptions{}, &env);
   ASSERT_TRUE(r.status.ok()) << r.status.ToString();
   EXPECT_EQ(r.completed_accesses, trace.accesses.size());
   EXPECT_GT(r.pool_stats.corrupt_retries, 0u);
   EXPECT_GT(env.os_cache().corrupt_reads(), 0u);
   EXPECT_EQ(env.pool().pinned_frames(), 0u);
-  ASSERT_NE(env.disk(), nullptr);
-  EXPECT_GT(env.disk()->stats().checksum_failures, 0u);
+  const SimulatedDisk* disk = env.os_cache().channel_disk(0);
+  ASSERT_NE(disk, nullptr);
+  EXPECT_GT(disk->stats().checksum_failures, 0u);
   // Every page the query received was verified.
-  EXPECT_GT(env.disk()->stats().verified_ok, 0u);
+  EXPECT_GT(disk->stats().verified_ok, 0u);
 }
 
 TEST(CorruptReadTest, PrefetchDropsCorruptPagesWithoutPinning) {
@@ -537,7 +539,7 @@ TEST(CorruptReadTest, PrefetchDropsCorruptPagesWithoutPinning) {
   SimEnvironment env(CorruptSim(0.30, 77));
   PrefetcherOptions options;
   options.start_delay_us = 0;
-  const ReplayResult r =
+  const QueryRunMetrics r =
       ReplayQuery(trace, OraclePages(trace), options, &env);
   ASSERT_TRUE(r.status.ok()) << r.status.ToString();
   EXPECT_EQ(r.completed_accesses, trace.accesses.size());
@@ -558,7 +560,7 @@ TEST(CorruptReadTest, LowRateCorruptionIsTransparentToQueries) {
     options.start_delay_us = 0;
     return ReplayQuery(trace, OraclePages(trace), options, &env);
   };
-  const ReplayResult a = run(9), b = run(9);
+  const QueryRunMetrics a = run(9), b = run(9);
   ASSERT_TRUE(a.status.ok());
   EXPECT_EQ(a.completed_accesses, trace.accesses.size());
   EXPECT_EQ(a.elapsed_us, b.elapsed_us);
@@ -575,7 +577,7 @@ TEST(CorruptReadTest, ReadaheadVerifiesBeforeInsert) {
   OsPageCache cache(
       OsPageCache::Options{.capacity_pages = 256, .readahead_pages = 8},
       latency);
-  cache.set_disk(&disk);
+  cache.set_channel_disk(0, &disk);
   // Sequential scan: the readahead window pulls pages ahead of the cursor
   // and must drop (not cache) the ones that fail verification.
   for (uint32_t p = 0; p < 64; ++p) {

@@ -186,22 +186,6 @@ TEST(PredictionCacheTest, AbortDropsRegistrationWithoutInsert) {
   EXPECT_TRUE(cache.BeginInflight(Key(0, 0, "a")));  // fresh leader again
 }
 
-TEST(PredictionCacheTest, AbortAllInflightDropsEveryRegistration) {
-  PredictionCache cache(4);
-  ASSERT_TRUE(cache.BeginInflight(Key(0, 0, "a")));
-  ASSERT_TRUE(cache.BeginInflight(Key(0, 0, "b")));
-  ASSERT_FALSE(cache.BeginInflight(Key(0, 0, "b")));  // a follower joins b
-  EXPECT_EQ(cache.AbortAllInflight(), 2u);
-  EXPECT_EQ(cache.inflight(), 0u);
-  EXPECT_EQ(cache.stats().inflight_aborts, 2u);
-  std::vector<PageId> got;
-  EXPECT_FALSE(cache.Lookup(Key(0, 0, "a"), &got));
-  EXPECT_FALSE(cache.Lookup(Key(0, 0, "b"), &got));
-  // No orphaned slot: a fresh leader can register either key again.
-  EXPECT_TRUE(cache.BeginInflight(Key(0, 0, "a")));
-  EXPECT_TRUE(cache.BeginInflight(Key(0, 0, "b")));
-}
-
 TEST(PredictionCacheTest, SnapshotEntriesReproducesRecencyOrder) {
   PredictionCache cache(4);
   cache.Insert(Key(0, 0, "a"), Pages({1}));

@@ -34,7 +34,7 @@ TEST(ReplayTest, ElapsedAccountsCpuAndIo) {
   SimEnvironment env(SmallSim());
   QueryTrace trace;
   trace.accesses.push_back(PageAccess{PageId{1, 0}, false, 10});
-  const ReplayResult r = ReplayQuery(trace, {}, PrefetcherOptions{}, &env);
+  const QueryRunMetrics r = ReplayQuery(trace, {}, PrefetcherOptions{}, &env);
   const LatencyModel& lat = env.options().latency;
   EXPECT_EQ(r.elapsed_us, 10 * lat.cpu_per_tuple_us +
                               lat.disk_random_read_us);
@@ -45,7 +45,7 @@ TEST(ReplayTest, RepeatAccessIsBufferHit) {
   QueryTrace trace;
   trace.accesses.push_back(PageAccess{PageId{1, 0}, false, 0});
   trace.accesses.push_back(PageAccess{PageId{1, 0}, false, 0});
-  const ReplayResult r = ReplayQuery(trace, {}, PrefetcherOptions{}, &env);
+  const QueryRunMetrics r = ReplayQuery(trace, {}, PrefetcherOptions{}, &env);
   EXPECT_EQ(r.pool_stats.buffer_hits, 1u);
   EXPECT_EQ(r.pool_stats.disk_random_reads, 1u);
 }
@@ -53,7 +53,7 @@ TEST(ReplayTest, RepeatAccessIsBufferHit) {
 TEST(ReplayTest, SequentialScanUsesReadahead) {
   SimEnvironment env(SmallSim());
   const QueryTrace trace = MakeMixedTrace(100, 0);
-  const ReplayResult r = ReplayQuery(trace, {}, PrefetcherOptions{}, &env);
+  const QueryRunMetrics r = ReplayQuery(trace, {}, PrefetcherOptions{}, &env);
   // OS readahead turns most of the scan into cache copies.
   EXPECT_GT(r.pool_stats.os_cache_copies, 50u);
   EXPECT_LT(r.pool_stats.disk_random_reads, 5u);
@@ -63,13 +63,14 @@ TEST(ReplayTest, PrefetchingNonSeqPagesSpeedsUpQuery) {
   const QueryTrace trace = MakeMixedTrace(50, 200);
 
   SimEnvironment env(SmallSim());
-  const ReplayResult dflt = ReplayQuery(trace, {}, PrefetcherOptions{}, &env);
+  const QueryRunMetrics dflt =
+      ReplayQuery(trace, {}, PrefetcherOptions{}, &env);
 
   env.ColdRestart();
   PrefetcherOptions options;
   options.start_delay_us = 0;
   const std::vector<PageId> oracle = OraclePages(trace);
-  const ReplayResult prefetched = ReplayQuery(trace, oracle, options, &env);
+  const QueryRunMetrics prefetched = ReplayQuery(trace, oracle, options, &env);
 
   EXPECT_LT(prefetched.elapsed_us, dflt.elapsed_us);
   // A substantial speedup, not a rounding artifact.
@@ -85,12 +86,15 @@ TEST(ReplayTest, PrefetchingNonSeqPagesSpeedsUpQuery) {
 TEST(ReplayTest, ColdRestartResetsState) {
   SimEnvironment env(SmallSim());
   const QueryTrace trace = MakeMixedTrace(20, 50);
-  const ReplayResult first = ReplayQuery(trace, {}, PrefetcherOptions{}, &env);
+  const QueryRunMetrics first =
+      ReplayQuery(trace, {}, PrefetcherOptions{}, &env);
   // Warm rerun is much faster; after ColdRestart timing matches cold run.
-  const ReplayResult warm = ReplayQuery(trace, {}, PrefetcherOptions{}, &env);
+  const QueryRunMetrics warm =
+      ReplayQuery(trace, {}, PrefetcherOptions{}, &env);
   EXPECT_LT(warm.elapsed_us, first.elapsed_us);
   env.ColdRestart();
-  const ReplayResult cold = ReplayQuery(trace, {}, PrefetcherOptions{}, &env);
+  const QueryRunMetrics cold =
+      ReplayQuery(trace, {}, PrefetcherOptions{}, &env);
   EXPECT_EQ(cold.elapsed_us, first.elapsed_us);
 }
 
@@ -99,13 +103,14 @@ TEST(ReplayTest, WrongPrefetchDoesNotSlowQueryMuch) {
   // itself — the paper's "practically no regression" claim.
   const QueryTrace trace = MakeMixedTrace(50, 100);
   SimEnvironment env(SmallSim());
-  const ReplayResult dflt = ReplayQuery(trace, {}, PrefetcherOptions{}, &env);
+  const QueryRunMetrics dflt =
+      ReplayQuery(trace, {}, PrefetcherOptions{}, &env);
   env.ColdRestart();
   std::vector<PageId> wrong;
   for (uint32_t p = 0; p < 100; ++p) wrong.push_back(PageId{9, p});
   PrefetcherOptions options;
   options.start_delay_us = 0;
-  const ReplayResult r = ReplayQuery(trace, wrong, options, &env);
+  const QueryRunMetrics r = ReplayQuery(trace, wrong, options, &env);
   EXPECT_LT(r.elapsed_us, dflt.elapsed_us * 1.10);
 }
 
@@ -152,59 +157,120 @@ TEST(ReplayTest, ConcurrentSingleQueryMatchesSolo) {
   prefetch.start_delay_us = 0;
   const std::vector<PageId> plan = OraclePages(trace);
 
-  struct Outcome {
-    Status status;
-    SimTime elapsed_us = 0;
-    uint64_t completed_accesses = 0;
-    PrefetchSessionStats prefetch_stats;
-    BufferPoolStats pool_stats;  // the fresh environment's totals
-  };
-  Outcome solo, batch, fleet;
+  // All three return QueryRunMetrics. A fleet thread's pool_stats stays
+  // zero (its batch-of-one delta would count the other threads), so each
+  // fresh environment's pool totals are compared too.
+  QueryRunMetrics solo, batch, fleet;
+  BufferPoolStats solo_pool, batch_pool, fleet_pool;
+  ConcurrentQuery q;
+  q.trace = &trace;
+  q.prefetch_pages = plan;
+  q.prefetch_options = prefetch;
   {
     SimEnvironment env(sim);
-    const ReplayResult r = ReplayQuery(trace, plan, prefetch, &env);
-    solo = {r.status, r.elapsed_us, r.completed_accesses, r.prefetch_stats,
-            env.pool().stats()};
-    EXPECT_TRUE(SameCounters(r.pool_stats, solo.pool_stats));
+    solo = ReplayQuery(trace, plan, prefetch, &env);
+    solo_pool = env.pool().stats();
+    EXPECT_EQ(solo.pool_stats, solo_pool);
   }
   {
     SimEnvironment env(sim);
-    ConcurrentQuery q;
-    q.trace = &trace;
-    q.prefetch_pages = plan;
-    q.prefetch_options = prefetch;
     const ConcurrentResult r = ReplayConcurrent({q}, {}, &env);
     EXPECT_EQ(r.makespan_us, r.queries[0].elapsed_us);
-    batch = {r.queries[0].status, r.queries[0].elapsed_us,
-             r.queries[0].completed_accesses, r.queries[0].prefetch_stats,
-             env.pool().stats()};
+    batch = r.queries[0];
+    batch_pool = env.pool().stats();
   }
   {
     SimEnvironment env(sim);
-    ParallelReplayThread thread;
-    thread.trace = &trace;
-    thread.prefetch_pages = plan;
-    ParallelReplayOptions options;
-    options.prefetch = prefetch;
-    const ParallelReplayResult r =
-        ReplayParallelFleet({thread}, options, &env);
-    const ParallelThreadResult& t = r.threads[0];
-    fleet = {t.status, t.elapsed_us, t.completed_accesses, t.prefetch_stats,
-             env.pool().stats()};
+    const ParallelReplayResult r = ReplayParallelFleet({q}, &env);
+    ASSERT_EQ(r.threads.size(), 1u);
+    fleet = r.threads[0];
+    fleet_pool = env.pool().stats();
+    EXPECT_EQ(fleet.pool_stats, BufferPoolStats{});
+    EXPECT_EQ(r.pool_stats, fleet_pool);
   }
 
   ASSERT_TRUE(solo.status.ok()) << solo.status.ToString();
   EXPECT_EQ(solo.completed_accesses, trace.accesses.size());
   // The environment really exercised the fault and gray-failure paths.
-  EXPECT_GT(solo.pool_stats.read_retries, 0u);
-  EXPECT_GT(solo.pool_stats.hedged_reads, 0u);
+  EXPECT_GT(solo_pool.read_retries, 0u);
+  EXPECT_GT(solo_pool.hedged_reads, 0u);
   EXPECT_GT(solo.prefetch_stats.issued, 0u);
-  for (const Outcome* other : {&batch, &fleet}) {
+  EXPECT_EQ(batch.pool_stats, solo.pool_stats);
+  for (const QueryRunMetrics* other : {&batch, &fleet}) {
     EXPECT_EQ(other->status.code(), solo.status.code());
     EXPECT_EQ(other->elapsed_us, solo.elapsed_us);
     EXPECT_EQ(other->completed_accesses, solo.completed_accesses);
+    EXPECT_EQ(other->rung, solo.rung);
+    EXPECT_EQ(other->degraded_by_governor, solo.degraded_by_governor);
+    EXPECT_EQ(other->deadline_exceeded, solo.deadline_exceeded);
+    EXPECT_EQ(other->queue_wait_us, solo.queue_wait_us);
     EXPECT_TRUE(SameCounters(other->prefetch_stats, solo.prefetch_stats));
-    EXPECT_TRUE(SameCounters(other->pool_stats, solo.pool_stats));
+  }
+  for (const BufferPoolStats* other : {&batch_pool, &fleet_pool}) {
+    EXPECT_EQ(*other, solo_pool);
+  }
+}
+
+// The storage stack is wired one way at every width: each channel owns one
+// fault injector (channel c seeded faults.seed ^ (0x9e3779b97f4a7c15 * c))
+// and one disk that draws corruption from that injector. AIO stalls come
+// from channel 0's injector on one channel and from a dedicated injector on
+// more.
+TEST(ReplayTest, EveryStorageChannelHasItsOwnInjectorAndDisk) {
+  // 600 scattered reads over 12 objects, with an oracle plan so the AIO
+  // scheduler carries prefetch traffic too.
+  QueryTrace trace;
+  for (uint32_t i = 0; i < 600; ++i) {
+    trace.accesses.push_back(PageAccess{PageId{1 + i % 12, 5 * (i / 12)},
+                                        false, 1});
+  }
+  PrefetcherOptions prefetch;
+  prefetch.start_delay_us = 0;
+  for (const size_t channels : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(channels);
+    SimOptions sim = SmallSim();
+    sim.buffer_pages = 64;
+    sim.os_cache_pages = 64;
+    sim.os_readahead_pages = 0;
+    sim.storage_channels = channels;
+    sim.faults.transient_error_prob = 0.01;
+    sim.faults.aio_stall_prob = 0.2;
+    sim.faults.bit_flip_prob = 0.05;
+    sim.faults.seed = 77;
+    sim.verify_page_checksums = true;
+    SimEnvironment env(sim);
+    OsPageCache& cache = env.os_cache();
+    ASSERT_EQ(cache.num_channels(), channels);
+
+    const QueryRunMetrics r =
+        ReplayQuery(trace, OraclePages(trace), prefetch, &env);
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+
+    uint64_t channel_stalls = 0;
+    for (size_t c = 0; c < channels; ++c) {
+      SCOPED_TRACE(c);
+      const FaultInjector* injector = cache.channel_fault_injector(c);
+      const SimulatedDisk* disk = cache.channel_disk(c);
+      ASSERT_NE(injector, nullptr);
+      ASSERT_NE(disk, nullptr);
+      EXPECT_EQ(injector->config().seed,
+                sim.faults.seed ^ (0x9e3779b97f4a7c15ULL * c));
+      for (size_t other = 0; other < c; ++other) {
+        EXPECT_NE(injector, cache.channel_fault_injector(other));
+        EXPECT_NE(disk, cache.channel_disk(other));
+      }
+      // A disk's bit flips come from its own channel's injector: every flip
+      // the injector drew fails that disk's checksum.
+      EXPECT_GT(disk->stats().reads, 0u);
+      EXPECT_EQ(disk->stats().checksum_failures,
+                injector->stats().injected_bit_flips);
+      channel_stalls += injector->stats().injected_stalls;
+    }
+    if (channels == 1) {
+      EXPECT_GT(channel_stalls, 0u);
+    } else {
+      EXPECT_EQ(channel_stalls, 0u);
+    }
   }
 }
 
@@ -213,7 +279,8 @@ TEST(ReplayTest, ConcurrentQueriesShareBufferPool) {
   // the first brought in, so total time < 2x solo cold time.
   const QueryTrace trace = MakeMixedTrace(30, 120);
   SimEnvironment env(SmallSim());
-  const ReplayResult solo = ReplayQuery(trace, {}, PrefetcherOptions{}, &env);
+  const QueryRunMetrics solo =
+      ReplayQuery(trace, {}, PrefetcherOptions{}, &env);
 
   env.ColdRestart();
   ConcurrentQuery a, b;
@@ -258,7 +325,7 @@ TEST(ReplayTest, ConcurrentWithPrefetchBeatsWithout) {
 TEST(ReplayTest, EmptyTraceCompletesImmediately) {
   SimEnvironment env(SmallSim());
   QueryTrace empty;
-  const ReplayResult r = ReplayQuery(empty, {}, PrefetcherOptions{}, &env);
+  const QueryRunMetrics r = ReplayQuery(empty, {}, PrefetcherOptions{}, &env);
   EXPECT_EQ(r.elapsed_us, 0u);
   ConcurrentQuery q;
   q.trace = &empty;
@@ -282,8 +349,8 @@ TEST(ShardedReplayTest, ShardedSoloReplayMatchesUnsharded) {
     SimEnvironment env(sim);
     return ReplayQuery(trace, {}, PrefetcherOptions{}, &env);
   };
-  const ReplayResult base = run(1, 1);
-  const ReplayResult sharded = run(4, 2);
+  const QueryRunMetrics base = run(1, 1);
+  const QueryRunMetrics sharded = run(4, 2);
   ASSERT_TRUE(base.status.ok());
   ASSERT_TRUE(sharded.status.ok());
   EXPECT_EQ(base.elapsed_us, sharded.elapsed_us);
@@ -309,10 +376,10 @@ TEST(ShardedReplayTest, StripedEnvironmentWithFaultsIsDeterministic) {
   sim.faults.tail_latency_prob = 0.05;
   sim.faults.seed = 1234;
   SimEnvironment env(sim);
-  const ReplayResult a = ReplayQuery(trace, {}, PrefetcherOptions{}, &env);
+  const QueryRunMetrics a = ReplayQuery(trace, {}, PrefetcherOptions{}, &env);
   env.ColdRestart();
   env.ResetFaults();
-  const ReplayResult b = ReplayQuery(trace, {}, PrefetcherOptions{}, &env);
+  const QueryRunMetrics b = ReplayQuery(trace, {}, PrefetcherOptions{}, &env);
   ASSERT_TRUE(a.status.ok());
   EXPECT_EQ(a.elapsed_us, b.elapsed_us);
   EXPECT_EQ(a.pool_stats.read_retries, b.pool_stats.read_retries);
@@ -329,7 +396,7 @@ TEST(ShardedReplayTest, ParallelFleetCompletesEveryThread) {
   // Give each thread its own object so prefetch plans and scans are
   // distinguishable per thread; thread 0 runs demand-only.
   std::vector<QueryTrace> traces;
-  std::vector<ParallelReplayThread> threads;
+  std::vector<ConcurrentQuery> threads;
   for (uint32_t t = 0; t < 4; ++t) {
     QueryTrace trace;
     for (uint32_t i = 0; i < 200; ++i) {
@@ -339,7 +406,7 @@ TEST(ShardedReplayTest, ParallelFleetCompletesEveryThread) {
     traces.push_back(std::move(trace));
   }
   for (uint32_t t = 0; t < 4; ++t) {
-    ParallelReplayThread thread;
+    ConcurrentQuery thread;
     thread.trace = &traces[t];
     if (t != 0) {
       for (uint32_t i = 0; i < 200; ++i) {
@@ -349,8 +416,7 @@ TEST(ShardedReplayTest, ParallelFleetCompletesEveryThread) {
     threads.push_back(std::move(thread));
   }
 
-  const ParallelReplayResult r =
-      ReplayParallelFleet(threads, ParallelReplayOptions{}, &env);
+  const ParallelReplayResult r = ReplayParallelFleet(threads, &env);
   ASSERT_EQ(r.threads.size(), 4u);
   uint64_t completed = 0;
   for (size_t t = 0; t < 4; ++t) {

@@ -179,7 +179,7 @@ TEST_F(TracerTest, ReplayProducesOverlappingExecAndIoSpans) {
   Tracer& tracer = Tracer::Global();
   tracer.Enable();
   tracer.StartQueryTrack();
-  const ReplayResult r1 = ReplayQuery(qtrace, prefetch, popts, &env);
+  const QueryRunMetrics r1 = ReplayQuery(qtrace, prefetch, popts, &env);
   ASSERT_TRUE(r1.status.ok());
   const std::string json1 = tracer.ToChromeJson();
 
@@ -208,7 +208,7 @@ TEST_F(TracerTest, ReplayProducesOverlappingExecAndIoSpans) {
   tracer.Clear();
   SimEnvironment env2(options);
   tracer.StartQueryTrack();
-  const ReplayResult r2 = ReplayQuery(qtrace, prefetch, popts, &env2);
+  const QueryRunMetrics r2 = ReplayQuery(qtrace, prefetch, popts, &env2);
   ASSERT_TRUE(r2.status.ok());
   EXPECT_EQ(r1.elapsed_us, r2.elapsed_us);
   EXPECT_EQ(json1, tracer.ToChromeJson());
