@@ -4,7 +4,6 @@
 // queries are bucketized into bottom-25% / middle / top-25% similarity, and
 // F1 (Fig 7) and speedup (Fig 8) are reported per bucket.
 #include "bench/common.h"
-#include "core/trace_processor.h"
 
 namespace pythia::bench {
 namespace {
@@ -32,19 +31,15 @@ void Run() {
     // workload, over non-sequential page sets.
     std::vector<std::unordered_set<PageId>> train_sets;
     for (size_t qi : workload.train_indices) {
-      ObjectPageSets sets = ProcessTrace(workload.queries[qi].trace);
-      std::unordered_set<PageId> flat;
-      for (const PageId& p : FlattenPageSets(sets)) flat.insert(p);
-      train_sets.push_back(std::move(flat));
+      train_sets.push_back(workload.queries[qi].trace.DistinctNonSequential());
     }
     std::vector<double> similarity;
     for (size_t ti : workload.test_indices) {
-      ObjectPageSets sets = ProcessTrace(workload.queries[ti].trace);
-      std::unordered_set<PageId> flat;
-      for (const PageId& p : FlattenPageSets(sets)) flat.insert(p);
+      const std::unordered_set<PageId> pages =
+          workload.queries[ti].trace.DistinctNonSequential();
       double total = 0.0;
       for (const auto& train : train_sets) {
-        total += JaccardSimilarity(flat, train);
+        total += JaccardSimilarity(pages, train);
       }
       similarity.push_back(total / train_sets.size());
     }

@@ -30,8 +30,8 @@ void Run() {
     pythia_infer_seconds += std::chrono::duration<double>(
                                 std::chrono::steady_clock::now() - start)
                                 .count();
-    const auto truth = model.RestrictToModeled(ProcessTrace(q.trace));
-    pythia_f1.push_back(ComputeSetMetrics(predicted, truth).f1);
+    pythia_f1.push_back(
+        ComputeSetMetrics(predicted, model.GroundTruth(q.trace)).f1);
   }
   pythia_infer_seconds /= workload.test_indices.size();
   const double pythia_train_seconds = model.report().train_seconds;

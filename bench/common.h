@@ -176,9 +176,8 @@ inline std::vector<double> PythiaF1(WorkloadModel* model,
   for (size_t ti : workload.test_indices) {
     const WorkloadQuery& q = workload.queries[ti];
     const auto predicted = model->Predict(q.tokens);
-    const auto truth = model->RestrictToModeled(
-        ProcessTrace(q.trace, model->options().removal));
-    f1.push_back(ComputeSetMetrics(predicted, truth).f1);
+    f1.push_back(
+        ComputeSetMetrics(predicted, model->GroundTruth(q.trace)).f1);
   }
   return f1;
 }

@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "core/system.h"
+#include "core/trace_processor.h"
 #include "exec/serializer.h"
 #include "util/metrics.h"
 #include "util/table_printer.h"

@@ -7,7 +7,6 @@
 #include <string>
 
 #include "core/predictor.h"
-#include "core/trace_processor.h"
 #include "util/metrics.h"
 
 int main(int argc, char** argv) {
@@ -59,8 +58,7 @@ int main(int argc, char** argv) {
     const auto b = loaded->Predict(q.tokens);
     mismatches += a != b;
     ++checked;
-    const auto truth = loaded->RestrictToModeled(ProcessTrace(q.trace));
-    f1_sum += ComputeSetMetrics(b, truth).f1;
+    f1_sum += ComputeSetMetrics(b, loaded->GroundTruth(q.trace)).f1;
   }
   std::printf("  %zu test queries checked, %zu mismatches, mean F1 %.3f\n",
               checked, mismatches, f1_sum / checked);

@@ -205,9 +205,6 @@ void AdaptationManager::MaybeTrigger(size_t entry, EntryState* st) {
   st->ready_at = lane_now_ + cost;
 
   ++stats_.retrains_started;
-  MetricsRegistry::Global()
-      .histogram("adaptation.train_samples")
-      .Record(st->train_set.size());
   PushEvent(AdaptationEvent::Kind::kRetrainStart, entry, 0);
   st->fresh = 0;
   st->phase = AdaptationPhase::kTraining;
@@ -298,11 +295,6 @@ bool AdaptationManager::ShadowValidate(size_t entry, EntryState* st) {
           incumbent_speedup * options_.min_speedup_vs_incumbent &&
       useful >= options_.min_useful_ratio;
 
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  reg.histogram("adaptation.shadow.candidate_speedup_x100")
-      .Record(static_cast<uint64_t>(candidate_speedup * 100.0));
-  reg.histogram("adaptation.shadow.useful_x100")
-      .Record(static_cast<uint64_t>(useful * 100.0));
   PYTHIA_TRACE_INSTANT_CTX(
       "adaptation", passed ? "shadow_pass" : "shadow_fail", "speedup_x100",
       static_cast<uint64_t>(candidate_speedup * 100.0), "useful_x100",

@@ -1,58 +1,19 @@
 #include "core/baselines.h"
 
-#include <algorithm>
-#include <unordered_set>
-
 #include "util/metrics.h"
 
 namespace pythia {
 
-std::vector<PageId> OraclePages(const QueryTrace& trace,
-                                SequentialRemoval removal) {
-  // Keep first-access order while removing sequential accesses and
-  // duplicates.
-  std::vector<PageId> out;
-  std::unordered_set<PageId> seen;
-  std::unordered_map<ObjectId, uint32_t> last_page;
-  for (const PageAccess& access : trace.accesses) {
-    bool sequential;
-    if (removal == SequentialRemoval::kByOrigin) {
-      sequential = access.sequential;
-    } else {
-      auto it = last_page.find(access.page.object_id);
-      sequential =
-          it != last_page.end() && access.page.page_no == it->second + 1;
-      last_page[access.page.object_id] = access.page.page_no;
-    }
-    if (sequential) continue;
-    if (seen.insert(access.page).second) out.push_back(access.page);
-  }
-  return out;
+std::vector<PageId> OraclePages(const QueryTrace& trace) {
+  return trace.NonSequentialPages();
 }
 
-NearestNeighborBaseline::NearestNeighborBaseline(
-    const Workload& workload, const std::vector<ObjectId>& restrict_objects,
-    SequentialRemoval removal)
-    : restrict_objects_(restrict_objects), removal_(removal) {
+NearestNeighborBaseline::NearestNeighborBaseline(const Workload& workload,
+                                                 const WorkloadModel& model) {
   train_sets_.reserve(workload.train_indices.size());
   for (size_t qi : workload.train_indices) {
-    train_sets_.push_back(GroundTruth(workload.queries[qi].trace));
+    train_sets_.push_back(model.GroundTruth(workload.queries[qi].trace));
   }
-}
-
-std::unordered_set<PageId> NearestNeighborBaseline::GroundTruth(
-    const QueryTrace& trace) const {
-  ObjectPageSets sets = ProcessTrace(trace, removal_);
-  std::unordered_set<PageId> out;
-  for (const auto& [object, pages] : sets) {
-    if (!restrict_objects_.empty() &&
-        std::find(restrict_objects_.begin(), restrict_objects_.end(),
-                  object) == restrict_objects_.end()) {
-      continue;
-    }
-    for (uint32_t p : pages) out.insert(PageId{object, p});
-  }
-  return out;
 }
 
 const std::unordered_set<PageId>& NearestNeighborBaseline::Predict(

@@ -8,49 +8,42 @@
 //    it peeks at the test query's output) and prefetch that neighbor's
 //    pages.
 //  - DFLT is simply replay without a prefetch session.
+//
+// Both read the one label rule: the oracle prefetches the trace's
+// NonSequentialPages (exec/trace.h), and NN's neighbor sets are
+// WorkloadModel::GroundTruth, the same sets its plan is scored against.
 #ifndef PYTHIA_CORE_BASELINES_H_
 #define PYTHIA_CORE_BASELINES_H_
 
 #include <unordered_set>
 #include <vector>
 
-#include "core/trace_processor.h"
+#include "core/predictor.h"
 #include "exec/trace.h"
-#include "workload/generator.h"
 
 namespace pythia {
 
 // Distinct non-sequential pages of `trace` in first-access order — what the
 // oracle prefetches.
-std::vector<PageId> OraclePages(const QueryTrace& trace,
-                                SequentialRemoval removal =
-                                    SequentialRemoval::kByOrigin);
+std::vector<PageId> OraclePages(const QueryTrace& trace);
 
 class NearestNeighborBaseline {
  public:
-  // Builds the neighbor store from the workload's training queries. If
-  // `restrict_objects` is non-empty, page sets are restricted to those
-  // objects (IMDB experiments only consider cast_info).
+  // Builds the neighbor store from the workload's training queries: each
+  // query's ground truth under `model`, so neighbors cover only the objects
+  // the model covers (IMDB experiments model only cast_info).
   NearestNeighborBaseline(const Workload& workload,
-                          const std::vector<ObjectId>& restrict_objects,
-                          SequentialRemoval removal =
-                              SequentialRemoval::kByOrigin);
+                          const WorkloadModel& model);
 
   // Returns the stored page set of the training query most similar to
-  // `test_pages` (idealized: the caller passes the test query's actual
-  // non-sequential page set).
+  // `test_pages` (idealized: the caller passes the test query's own ground
+  // truth).
   const std::unordered_set<PageId>& Predict(
       const std::unordered_set<PageId>& test_pages) const;
-
-  // The test query's own (restricted) ground-truth set — convenience used
-  // both as the NN probe and as the F1 reference.
-  std::unordered_set<PageId> GroundTruth(const QueryTrace& trace) const;
 
  private:
   std::vector<std::unordered_set<PageId>> train_sets_;
   std::unordered_set<PageId> empty_;
-  std::vector<ObjectId> restrict_objects_;
-  SequentialRemoval removal_;
 };
 
 }  // namespace pythia

@@ -6,6 +6,7 @@
 #include <map>
 #include <numeric>
 
+#include "core/trace_processor.h"
 #include "nn/optimizer.h"
 #include "nn/serialize.h"
 #include "storage/durable.h"
@@ -128,8 +129,7 @@ Result<WorkloadModel> WorkloadModel::Train(const Database& db,
   std::vector<ObjectPageSets> labels(train.size());
   std::map<ObjectId, std::map<uint32_t, uint32_t>> page_freq;
   for (size_t i = 0; i < train.size(); ++i) {
-    labels[i] = ProcessTrace(workload.queries[train[i]].trace,
-                             options.removal);
+    labels[i] = ProcessTrace(workload.queries[train[i]].trace);
     for (const auto& [object, pages] : labels[i]) {
       for (uint32_t p : pages) ++page_freq[object][p];
     }
@@ -321,7 +321,7 @@ IncrementalTrainReport WorkloadModel::IncrementalTrain(
   std::vector<ObjectPageSets> labels(samples.size());
   for (size_t i = 0; i < samples.size(); ++i) {
     encoded[i] = vocab_.Encode(*samples[i].tokens);
-    labels[i] = ProcessTrace(*samples[i].trace, options_.removal);
+    labels[i] = ProcessTrace(*samples[i].trace);
   }
 
   std::vector<double> final_losses(units_.size(), 0.0);
@@ -355,6 +355,11 @@ IncrementalTrainReport WorkloadModel::IncrementalTrain(
   if (options.calibrate_threshold) {
     static constexpr float kGrid[] = {0.40f, 0.45f, 0.50f, 0.55f, 0.60f,
                                       0.65f, 0.70f, 0.75f, 0.80f};
+    std::vector<std::unordered_set<PageId>> truths;
+    truths.reserve(samples.size());
+    for (const IncrementalSample& s : samples) {
+      truths.push_back(GroundTruth(*s.trace));
+    }
     const float original = options_.threshold;
     float best_threshold = original;
     double best_f1 = -1.0;
@@ -365,8 +370,8 @@ IncrementalTrainReport WorkloadModel::IncrementalTrain(
       double f1 = 0.0;
       double precision = 0.0;
       for (size_t i = 0; i < samples.size(); ++i) {
-        const PrecisionRecall m = ComputeSetMetrics(
-            Predict(*samples[i].tokens), RestrictToModeled(labels[i]));
+        const PrecisionRecall m =
+            ComputeSetMetrics(Predict(*samples[i].tokens), truths[i]);
         f1 += m.f1;
         precision += m.precision;
       }
@@ -429,15 +434,14 @@ std::vector<std::unordered_set<PageId>> WorkloadModel::PredictBatch(
   return out;
 }
 
-std::unordered_set<PageId> WorkloadModel::RestrictToModeled(
-    const ObjectPageSets& sets) const {
+std::unordered_set<PageId> WorkloadModel::GroundTruth(
+    const QueryTrace& trace) const {
   std::unordered_set<PageId> out;
-  for (const auto& [object, pages] : sets) {
-    if (std::find(modeled_objects_.begin(), modeled_objects_.end(), object) ==
-        modeled_objects_.end()) {
-      continue;
+  for (const PageId& page : trace.NonSequentialPages()) {
+    if (std::find(modeled_objects_.begin(), modeled_objects_.end(),
+                  page.object_id) != modeled_objects_.end()) {
+      out.insert(page);
     }
-    for (uint32_t p : pages) out.insert(PageId{object, p});
   }
   return out;
 }
@@ -468,6 +472,12 @@ constexpr uint32_t kModelMagic = 0x5059574d;  // "PYWM"
 // retrains.
 constexpr uint32_t kModelVersion = 3;
 
+// The word where a sequential-removal policy id used to be stored. Every
+// saved model held 0 there, so Save writes 0 and Fingerprint hashes the same
+// four zero bytes: model files and cached-model fingerprints are unchanged.
+// A file with any other value there is damaged.
+constexpr uint32_t kReservedWord = 0;
+
 }  // namespace
 
 uint64_t WorkloadModel::Fingerprint(const PredictorOptions& options,
@@ -488,7 +498,7 @@ uint64_t WorkloadModel::Fingerprint(const PredictorOptions& options,
   h = FnvPod(h, options.grad_clip);
   h = FnvPod(h, options.train_fraction);
   h = FnvPod(h, options.seed);
-  h = FnvPod(h, options.removal);
+  h = FnvPod(h, kReservedWord);
   h = FnvPod(h, options.max_pages_per_model);
   h = FnvPod(h, options.combined_index_table_model);
   h = FnvPod(h, options.top_k_pages);
@@ -512,7 +522,7 @@ void WorkloadModel::WritePayload(ByteWriter* w) {
   w->Pod(options_.pos_weight);
   w->Pod(options_.threshold);
   w->Pod(options_.seed);
-  w->Pod(static_cast<uint32_t>(options_.removal));
+  w->Pod(kReservedWord);
   // Report.
   w->Pod(report_.train_seconds);
   w->Pod(static_cast<uint64_t>(report_.num_models));
@@ -590,7 +600,7 @@ Result<WorkloadModel> WorkloadModel::Load(const std::string& path,
 Result<WorkloadModel> WorkloadModel::ParsePayload(ByteReader* r) {
   const Status corrupt = Status::DataCorruption("truncated or lying field");
   WorkloadModel wm;
-  uint32_t template_id = 0, removal = 0;
+  uint32_t template_id = 0, reserved = 0;
   uint64_t num_models = 0, total_params = 0;
   r->Pod(&wm.fingerprint_);
   r->Pod(&template_id);
@@ -602,13 +612,16 @@ Result<WorkloadModel> WorkloadModel::ParsePayload(ByteReader* r) {
   r->Pod(&wm.options_.pos_weight);
   r->Pod(&wm.options_.threshold);
   r->Pod(&wm.options_.seed);
-  r->Pod(&removal);
+  r->Pod(&reserved);
   r->Pod(&wm.report_.train_seconds);
   r->Pod(&num_models);
   r->Pod(&total_params);
   r->Pod(&wm.report_.mean_final_loss);
+  if (template_id > static_cast<uint32_t>(kLastTemplateId) ||
+      reserved != kReservedWord) {
+    return corrupt;
+  }
   wm.template_id_ = static_cast<TemplateId>(template_id);
-  wm.options_.removal = static_cast<SequentialRemoval>(removal);
   wm.report_.num_models = num_models;
   wm.report_.total_parameters = total_params;
 

@@ -22,8 +22,8 @@
 #include <vector>
 
 #include "core/model.h"
-#include "core/trace_processor.h"
 #include "core/vocab.h"
+#include "exec/trace.h"
 #include "storage/durable.h"
 #include "util/bytes.h"
 #include "util/status.h"
@@ -49,7 +49,6 @@ struct PredictorOptions {
   double train_fraction = 1.0;  // Figure 12b: subsample the training set
   size_t num_threads = 0;       // 0 = hardware concurrency
   uint64_t seed = 5;
-  SequentialRemoval removal = SequentialRemoval::kByOrigin;
 
   // Structure.
   size_t max_pages_per_model = 4096;
@@ -68,8 +67,8 @@ struct TrainReport {
 };
 
 // One recent query fed into incremental retraining: the serialized plan,
-// the recorded page-access trace (labels are derived from it with the
-// model's configured sequential-removal policy) and the plan structure key
+// the recorded page-access trace (labels are derived from it by
+// ProcessTrace, as for Train) and the plan structure key
 // (folded into the match profiles so drifted-but-retrained-on plans match
 // again). Pointers are not owned and must outlive the IncrementalTrain
 // call.
@@ -109,6 +108,10 @@ struct IncrementalTrainReport {
   bool threshold_changed = false;
 };
 
+// A trained workload model. It learns, and is scored on, one label rule
+// (QueryTrace::NonSequentialPages): Train and IncrementalTrain fit each
+// query's ProcessTrace labels, and GroundTruth — the same pages on the
+// modeled objects — is what every F1 compares a prediction against.
 class WorkloadModel {
  public:
   // Trains models for `workload` against `db`. The workload's own
@@ -133,11 +136,13 @@ class WorkloadModel {
   std::vector<std::unordered_set<PageId>> PredictBatch(
       const std::vector<const std::vector<std::string>*>& token_seqs);
 
-  // Ground truth restricted to the objects this model covers — the paper's
-  // F1 compares prediction and truth over modeled objects (for IMDB, only
-  // cast_info is modeled and measured).
-  std::unordered_set<PageId> RestrictToModeled(
-      const ObjectPageSets& sets) const;
+  // The F1 reference for `trace`: its non-sequential pages
+  // (QueryTrace::NonSequentialPages) on the objects this model covers — the
+  // paper's F1 compares prediction and truth over modeled objects (for IMDB,
+  // only cast_info is modeled and measured). Every F1 in the system, the NN
+  // baseline's neighbor sets and IncrementalTrain's threshold calibration
+  // read this one set.
+  std::unordered_set<PageId> GroundTruth(const QueryTrace& trace) const;
 
   // Workload-membership score in [0, 1]: fraction of the query's tokens
   // seen during training, with a bonus for an exactly-seen plan structure.

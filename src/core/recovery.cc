@@ -168,7 +168,6 @@ Result<RecoveryReport> RecoveryManager::Recover(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - start)
           .count());
-  reg.histogram("recovery.recovery_wall_us").Record(report.wall_us);
   PYTHIA_TRACE_INSTANT_CTX("recovery", "recovered", "generation",
                            report.manifest_generation, "workloads",
                            static_cast<uint64_t>(report.workloads.size()));

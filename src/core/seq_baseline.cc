@@ -12,14 +12,20 @@ namespace pythia {
 
 std::vector<int32_t> SequenceTransformerBaseline::EncodeTrace(
     const QueryTrace& trace) const {
+  std::vector<PageId> pages;
+  if (config_.dedup_input) {
+    pages = trace.NonSequentialPages();
+  } else {
+    for (const PageAccess& access : trace.accesses) {
+      if (!access.sequential) pages.push_back(access.page);
+    }
+  }
+  if (pages.size() > config_.max_seq_len) pages.resize(config_.max_seq_len);
   std::vector<int32_t> out;
-  std::unordered_set<PageId> seen;
-  for (const PageAccess& access : trace.accesses) {
-    if (access.sequential) continue;
-    if (config_.dedup_input && !seen.insert(access.page).second) continue;
-    auto it = class_of_.find(access.page);
+  out.reserve(pages.size());
+  for (const PageId& page : pages) {
+    auto it = class_of_.find(page);
     out.push_back(it == class_of_.end() ? 0 : it->second);
-    if (out.size() >= config_.max_seq_len) break;
   }
   return out;
 }
@@ -33,12 +39,10 @@ SequenceTransformerBaseline::SequenceTransformerBaseline(
   // Class vocabulary: every distinct non-sequential page seen in training.
   classes_.push_back(PageId{0xffffffffu, 0xffffffffu});  // class 0 = OOV
   for (size_t qi : workload.train_indices) {
-    for (const PageAccess& access : workload.queries[qi].trace.accesses) {
-      if (access.sequential) continue;
-      if (class_of_.emplace(access.page,
-                            static_cast<int32_t>(classes_.size()))
+    for (const PageId& page : workload.queries[qi].trace.NonSequentialPages()) {
+      if (class_of_.emplace(page, static_cast<int32_t>(classes_.size()))
               .second) {
-        classes_.push_back(access.page);
+        classes_.push_back(page);
       }
     }
   }

@@ -26,17 +26,15 @@ void FillPlanMetrics(const WorkloadModel& model, const WorkloadQuery& query,
                      QueryRunMetrics* metrics) {
   if (metrics == nullptr) return;
   const std::unordered_set<PageId> predicted(pages.begin(), pages.end());
-  const std::unordered_set<PageId> truth = model.RestrictToModeled(
-      ProcessTrace(query.trace, model.options().removal));
   metrics->engaged = true;
-  metrics->accuracy = ComputeSetMetrics(predicted, truth);
+  metrics->accuracy =
+      ComputeSetMetrics(predicted, model.GroundTruth(query.trace));
   metrics->predicted_pages = pages.size();
 }
 
 void PythiaSystem::AddWorkload(const Workload& workload,
                                WorkloadModel&& model) {
-  auto nn = std::make_unique<NearestNeighborBaseline>(
-      workload, model.modeled_objects(), model.options().removal);
+  auto nn = std::make_unique<NearestNeighborBaseline>(workload, model);
   entries_.push_back(std::make_unique<Entry>(std::move(model), std::move(nn),
                                              watchdog_options_));
 }
@@ -164,17 +162,11 @@ std::vector<PageId> PythiaSystem::PrefetchPlan(const WorkloadQuery& query,
       }
       if (entry == nullptr && !entries_.empty()) entry = entries_[0].get();
       if (entry == nullptr) return {};
-      const std::unordered_set<PageId> truth =
-          entry->nn->GroundTruth(query.trace);
       const std::unordered_set<PageId>& predicted =
-          entry->nn->Predict(truth);
-      if (metrics != nullptr) {
-        metrics->engaged = true;
-        metrics->accuracy = ComputeSetMetrics(predicted, truth);
-        metrics->predicted_pages = predicted.size();
-      }
+          entry->nn->Predict(entry->model.GroundTruth(query.trace));
       std::vector<PageId> pages(predicted.begin(), predicted.end());
       std::sort(pages.begin(), pages.end());
+      FillPlanMetrics(entry->model, query, pages, metrics);
       return pages;
     }
   }

@@ -38,9 +38,9 @@ const char* RunModeName(RunMode mode);
 // QueryRunMetrics lives in core/query_metrics.h (shared with the concurrent
 // replay path, which reports one per batch query).
 
-// Marks *metrics engaged on `pages`, the page list `model` predicted for
-// `query`, scored against the query's ground truth over the modeled
-// objects. No-op when metrics is nullptr.
+// Marks *metrics engaged on `pages`, the plan the learned or NN mode built
+// for `query` under `model`, scored against model.GroundTruth(query.trace).
+// No-op when metrics is nullptr.
 void FillPlanMetrics(const WorkloadModel& model, const WorkloadQuery& query,
                      const std::vector<PageId>& pages,
                      QueryRunMetrics* metrics);

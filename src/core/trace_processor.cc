@@ -1,41 +1,16 @@
 #include "core/trace_processor.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
 
 namespace pythia {
 
-ObjectPageSets ProcessTrace(const QueryTrace& trace,
-                            SequentialRemoval removal) {
+ObjectPageSets ProcessTrace(const QueryTrace& trace) {
   ObjectPageSets sets;
-  std::unordered_set<PageId> seen;
-  std::unordered_map<ObjectId, uint32_t> last_page;
-
-  for (const PageAccess& access : trace.accesses) {
-    bool sequential;
-    if (removal == SequentialRemoval::kByOrigin) {
-      sequential = access.sequential;
-    } else {
-      auto it = last_page.find(access.page.object_id);
-      sequential = it != last_page.end() &&
-                   access.page.page_no == it->second + 1;
-      last_page[access.page.object_id] = access.page.page_no;
-    }
-    if (sequential) continue;
-    if (!seen.insert(access.page).second) continue;  // deduplicate
-    sets[access.page.object_id].push_back(access.page.page_no);
+  for (const PageId& page : trace.NonSequentialPages()) {
+    sets[page.object_id].push_back(page.page_no);
   }
   for (auto& [object, pages] : sets) std::sort(pages.begin(), pages.end());
   return sets;
-}
-
-std::vector<PageId> FlattenPageSets(const ObjectPageSets& sets) {
-  std::vector<PageId> out;
-  for (const auto& [object, pages] : sets) {
-    for (uint32_t p : pages) out.push_back(PageId{object, p});
-  }
-  return out;
 }
 
 }  // namespace pythia

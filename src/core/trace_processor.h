@@ -1,9 +1,10 @@
 // Trace post-processing — Algorithm 1, lines 8-12.
 //
 // Raw traces are an assorted mix of sequential fact-scan reads, repeated
-// index-path reads and heap fetches. Training data keeps only the
-// non-sequential accesses, deduplicated, segregated per database object and
-// sorted by offset (the order the prefetcher consumes them in).
+// index-path reads and heap fetches. Training data keeps only the trace's
+// distinct non-sequential accesses (QueryTrace::NonSequentialPages, the one
+// label rule), segregated per database object and sorted by offset (the
+// order the prefetcher consumes them in).
 #ifndef PYTHIA_CORE_TRACE_PROCESSOR_H_
 #define PYTHIA_CORE_TRACE_PROCESSOR_H_
 
@@ -19,24 +20,9 @@ namespace pythia {
 // for deterministic iteration.
 using ObjectPageSets = std::map<ObjectId, std::vector<uint32_t>>;
 
-enum class SequentialRemoval {
-  // Drop accesses tagged as issued by a sequential scan (the executor's
-  // instrumentation knows the origin of every request).
-  kByOrigin,
-  // Drop accesses whose page number is exactly one past the previous access
-  // to the same object — a positional definition usable when origin tags
-  // are unavailable (and the first page of every run is kept).
-  kByPosition,
-};
-
-// Produces the per-object training label sets from a raw trace.
-ObjectPageSets ProcessTrace(const QueryTrace& trace,
-                            SequentialRemoval removal =
-                                SequentialRemoval::kByOrigin);
-
-// Flattens page sets back into PageIds (e.g., for prefetch plans or
-// metrics), preserving the per-object sorted order.
-std::vector<PageId> FlattenPageSets(const ObjectPageSets& sets);
+// Produces the per-object training label sets from a raw trace: its
+// NonSequentialPages grouped by object, each group sorted by offset.
+ObjectPageSets ProcessTrace(const QueryTrace& trace);
 
 }  // namespace pythia
 

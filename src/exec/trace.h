@@ -7,6 +7,11 @@
 // (tuples visited) since the previous request. The same trace is used both
 // as Pythia training data (after Algorithm 1 post-processing) and as the
 // deterministic replay schedule for timing simulation.
+//
+// NonSequentialPages is the one label rule: every quantity the paper learns
+// or scores — the training labels (core/trace_processor.h), the oracle's
+// plan (core/baselines.h), the F1 ground truth (WorkloadModel::GroundTruth)
+// and the Table 1 footprint — is derived from its list.
 #ifndef PYTHIA_EXEC_TRACE_H_
 #define PYTHIA_EXEC_TRACE_H_
 
@@ -33,14 +38,23 @@ struct QueryTrace {
   uint64_t tuples_processed = 0;
   uint64_t rows_returned = 0;
 
-  // Distinct non-sequential pages in the trace — the quantity Table 1 and
-  // Figures 10/11 bucketize on.
-  std::unordered_set<PageId> DistinctNonSequential() const {
-    std::unordered_set<PageId> out;
+  // Algorithm 1, lines 8-12: the distinct pages the executor requested
+  // non-sequentially (by its origin tag, not by page position), in
+  // first-access order.
+  std::vector<PageId> NonSequentialPages() const {
+    std::vector<PageId> out;
+    std::unordered_set<PageId> seen;
     for (const PageAccess& a : accesses) {
-      if (!a.sequential) out.insert(a.page);
+      if (!a.sequential && seen.insert(a.page).second) out.push_back(a.page);
     }
     return out;
+  }
+
+  // NonSequentialPages as a set — the quantity Table 1 and Figures 10/11
+  // bucketize on.
+  std::unordered_set<PageId> DistinctNonSequential() const {
+    const std::vector<PageId> pages = NonSequentialPages();
+    return {pages.begin(), pages.end()};
   }
 
   uint64_t SequentialCount() const {

@@ -43,12 +43,14 @@
 #define PYTHIA_STORAGE_CHANNEL_HEALTH_H_
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <vector>
 
 #include "storage/sim_clock.h"
+#include "util/metrics_registry.h"
 
 namespace pythia {
 
@@ -101,9 +103,9 @@ class ChannelHealthTracker {
                          (1.0 - options_.ewma_alpha) * ch.LoadEwma();
     ch.StoreEwma(ewma);
     ch.samples.store(n + 1, std::memory_order_relaxed);
-    // Windowed log2 histogram: bucket b holds samples of bit width b,
-    // mirroring util/metrics_registry.h so the quantile semantics match.
-    const size_t b = BitWidth(latency_us);
+    // Windowed log2 histogram in Histogram's layout (bucket b holds samples
+    // of bit width b), so the p99 is Log2BucketQuantile's estimate.
+    const size_t b = static_cast<size_t>(std::bit_width(latency_us));
     ++ch.window_buckets[b];
     if (++ch.window_count >= options_.window_samples &&
         options_.window_samples > 0) {
@@ -114,7 +116,8 @@ class ChannelHealthTracker {
       ch.completed_count = ch.window_count;
       ch.window_count = 0;
       const double p99 =
-          BucketQuantile(ch.completed_buckets, ch.completed_count, 0.99);
+          Log2BucketQuantile(ch.completed_buckets, ch.completed_count, 0.99,
+                             /*fallback=*/0.0);
       ch.completed_p99_us.store(static_cast<uint64_t>(p99),
                                 std::memory_order_relaxed);
       ch.warm.store(true, std::memory_order_release);
@@ -288,40 +291,7 @@ class ChannelHealthTracker {
   }
 
  private:
-  static constexpr size_t kBuckets = 65;
-
-  static size_t BitWidth(uint64_t x) {
-    size_t w = 0;
-    while (x != 0) {
-      ++w;
-      x >>= 1;
-    }
-    return w;
-  }
-
-  // Bucket-interpolated quantile over a raw log2 bucket array — the same
-  // estimate util/metrics_registry.h's Histogram computes, inlined here so
-  // window rotation does not need a heap-allocated Histogram per window.
-  static double BucketQuantile(const uint64_t* buckets, uint64_t n,
-                               double q) {
-    if (n == 0) return 0.0;
-    const double rank = q * static_cast<double>(n - 1) + 1.0;
-    uint64_t seen = 0;
-    for (size_t b = 0; b < kBuckets; ++b) {
-      const uint64_t in_bucket = buckets[b];
-      if (in_bucket == 0) continue;
-      if (static_cast<double>(seen + in_bucket) < rank) {
-        seen += in_bucket;
-        continue;
-      }
-      const double lo = b == 0 ? 0.0 : static_cast<double>(1ull << (b - 1));
-      const double hi = b == 0 ? 0.0 : lo * 2.0 - 1.0;
-      const double frac =
-          (rank - static_cast<double>(seen)) / static_cast<double>(in_bucket);
-      return lo + (hi - lo) * frac;
-    }
-    return 0.0;
-  }
+  static constexpr size_t kBuckets = Histogram::kBuckets;
 
   struct ChannelState {
     std::mutex mu;  // guards the window buckets; summaries are atomics

@@ -151,6 +151,9 @@ struct RetryPolicy {
 
 class FaultInjector {
  public:
+  // The one place the streams' seeds are spelled: each stream mixes the
+  // config seed with its own constant on its own PCG sequence. The resets
+  // below restore streams by building a fresh injector.
   explicit FaultInjector(const FaultConfig& config)
       : config_(config),
         rng_(config.seed, 0x705eca7a1ULL),
@@ -225,9 +228,7 @@ class FaultInjector {
   // read-fault streams (a property of the device, not of the scheduler)
   // keep their history. Stall stats are cumulative device history and are
   // deliberately not cleared.
-  void ResetStallStream() {
-    stall_rng_ = Pcg32(config_.seed ^ 0x57a1157a1157a115ULL, 0x57a11ULL);
-  }
+  void ResetStallStream() { stall_rng_ = FaultInjector(config_).stall_rng_; }
 
   // Consulted once per page image the device returns (including each page a
   // kernel readahead pulls in): did the device silently corrupt it, and how?
@@ -298,15 +299,7 @@ class FaultInjector {
   // Restores the RNG streams to their seeded state and clears the counters,
   // so paired experiment arms (e.g. DFLT vs PYTHIA over the same queries)
   // observe the identical fault sequence.
-  void Reset() {
-    rng_ = Pcg32(config_.seed, 0x705eca7a1ULL);
-    backoff_rng_ = Pcg32(config_.seed ^ 0x9e3779b97f4a7c15ULL, 0xbac0ffULL);
-    corruption_rng_ = Pcg32(config_.seed ^ 0xc0de2badc0de2badULL, 0xc42c42ULL);
-    durable_rng_ = Pcg32(config_.seed ^ 0xd0d0beefcafef00dULL, 0xd00dULL);
-    stall_rng_ = Pcg32(config_.seed ^ 0x57a1157a1157a115ULL, 0x57a11ULL);
-    brownout_rng_ = Pcg32(config_.seed ^ 0xb70b70b70b70b70bULL, 0xb707ULL);
-    stats_ = FaultStats();
-  }
+  void Reset() { *this = FaultInjector(config_); }
 
   const FaultConfig& config() const { return config_; }
   const FaultStats& stats() const { return stats_; }

@@ -37,6 +37,7 @@
 #include "storage/latency_model.h"
 #include "storage/page_id.h"
 #include "storage/sim_disk.h"
+#include "util/hash.h"
 #include "util/status.h"
 
 namespace pythia {
@@ -152,13 +153,7 @@ class OsPageCache {
   // Which channel owns `page` — a pure function of its OBJECT id.
   size_t ChannelOf(PageId page) const {
     if (channels_.size() == 1) return 0;
-    uint64_t x = page.object_id;
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ULL;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebULL;
-    x ^= x >> 31;
-    return static_cast<size_t>(x % channels_.size());
+    return static_cast<size_t>(SplitMix64(page.object_id) % channels_.size());
   }
 
   // Cumulative counters for tests/diagnostics, summed over channels in

@@ -7,6 +7,8 @@
 #include <cstdint>
 #include <functional>
 
+#include "util/hash.h"
+
 namespace pythia {
 
 using ObjectId = uint32_t;
@@ -39,14 +41,7 @@ struct PageId {
 
 struct PageIdHash {
   size_t operator()(const PageId& p) const {
-    // splitmix64-style finalizer over the packed id.
-    uint64_t x = p.Pack();
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ULL;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebULL;
-    x ^= x >> 31;
-    return static_cast<size_t>(x);
+    return static_cast<size_t>(SplitMix64(p.Pack()));
   }
 };
 

@@ -21,8 +21,8 @@ double Histogram::Mean() const {
   return n == 0 ? 0.0 : static_cast<double>(sum()) / static_cast<double>(n);
 }
 
-double Histogram::Quantile(double q) const {
-  const uint64_t n = count();
+double Log2BucketQuantile(const uint64_t* buckets, uint64_t n, double q,
+                          double fallback) {
   if (n == 0) return 0.0;
   if (q < 0.0) q = 0.0;
   if (q > 1.0) q = 1.0;
@@ -30,8 +30,8 @@ double Histogram::Quantile(double q) const {
   // cumulative count covers it and interpolate linearly inside the bucket.
   const double rank = q * static_cast<double>(n - 1) + 1.0;
   uint64_t seen = 0;
-  for (size_t b = 0; b < kBuckets; ++b) {
-    const uint64_t in_bucket = bucket(b);
+  for (size_t b = 0; b < Histogram::kBuckets; ++b) {
+    const uint64_t in_bucket = buckets[b];
     if (in_bucket == 0) continue;
     if (static_cast<double>(seen + in_bucket) < rank) {
       seen += in_bucket;
@@ -43,7 +43,14 @@ double Histogram::Quantile(double q) const {
         (rank - static_cast<double>(seen)) / static_cast<double>(in_bucket);
     return lo + (hi - lo) * frac;
   }
-  return static_cast<double>(max());
+  return fallback;
+}
+
+double Histogram::Quantile(double q) const {
+  const uint64_t n = count();
+  uint64_t counts[kBuckets] = {};
+  for (size_t b = 0; b < kBuckets; ++b) counts[b] = bucket(b);
+  return Log2BucketQuantile(counts, n, q, static_cast<double>(max()));
 }
 
 void Histogram::Reset() {

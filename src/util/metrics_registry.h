@@ -18,7 +18,7 @@
 // never removes a metric), so call sites may cache `Counter&` references
 // across calls — after the first lookup, incrementing is wait-free.
 // Naming convention: dotted lowercase paths, subsystem first
-// ("model.loads_ok", "io.channel.0.busy_us", "recovery.recovery_wall_us").
+// ("model.loads_ok", "io.channel.0.busy_us", "recovery.quarantines").
 // A count a component already keeps in its own stats struct is read there
 // and is not copied into the registry: every count has one home.
 #ifndef PYTHIA_UTIL_METRICS_REGISTRY_H_
@@ -88,6 +88,13 @@ class Histogram {
   std::atomic<uint64_t> max_{0};
 };
 
+// Bucket-interpolated quantile, q in [0, 1], of the `n` samples counted in
+// `buckets`, laid out as Histogram's kBuckets log2 buckets: the bucket that
+// holds the 1-based rank q(n-1)+1, interpolated linearly inside it. 0 when
+// n is 0; `fallback` when the buckets hold fewer samples than that rank.
+double Log2BucketQuantile(const uint64_t* buckets, uint64_t n, double q,
+                          double fallback);
+
 // Point-in-time view of every registered metric, for reporting and JSON
 // export. Field order is the registry's map order (lexicographic by name),
 // so two snapshots of identical state serialize identically.
@@ -153,8 +160,8 @@ ModelIntegrityCounters ModelIntegritySnapshot();
 
 // Process-wide counters for checkpoint/recovery (core/checkpoint.h,
 // core/recovery.h), under "recovery." in the registry. Same snapshot-struct
-// pattern as ModelIntegrityCounters; the recovery wall-clock distribution
-// additionally lives in the "recovery.recovery_wall_us" histogram.
+// pattern as ModelIntegrityCounters; a recovery's wall time is
+// RecoveryReport::wall_us.
 struct RecoveryCounters {
   uint64_t checkpoints_written = 0;    // manifests committed
   uint64_t checkpoint_failures = 0;    // attempts that did not commit

@@ -22,6 +22,9 @@
 namespace pythia {
 
 enum class TemplateId { kDsb18, kDsb19, kDsb91, kImdb1a };
+// The last enumerator; a stored id above it (core/predictor.cc's model
+// files) names no template.
+inline constexpr TemplateId kLastTemplateId = TemplateId::kImdb1a;
 
 const char* TemplateName(TemplateId id);
 

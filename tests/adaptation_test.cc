@@ -153,9 +153,7 @@ TEST_F(AdaptationTest, ThresholdCalibrationMatchesManualGridSelection) {
     double f1 = 0.0, precision = 0.0;
     for (const IncrementalSample& s : samples) {
       const PrecisionRecall m = ComputeSetMetrics(
-          manual.Predict(*s.tokens),
-          manual.RestrictToModeled(
-              ProcessTrace(*s.trace, manual.options().removal)));
+          manual.Predict(*s.tokens), manual.GroundTruth(*s.trace));
       f1 += m.f1;
       precision += m.precision;
     }

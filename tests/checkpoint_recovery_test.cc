@@ -777,7 +777,7 @@ std::vector<LieSite> ModelLieSites(const std::string& file) {
                           "decoder_hidden"}) {
     w.Length<size_t>(dim);
   }
-  // pos_weight, threshold, seed, removal; report: train_seconds,
+  // pos_weight, threshold, seed, reserved word; report: train_seconds,
   // num_models, total_parameters, mean_final_loss.
   w.Skip(4 + 4 + 8 + 4 + 8 + 8 + 8 + 8);
   w.Skip(w.Length<uint32_t>("object count") * sizeof(ObjectId));
@@ -970,6 +970,52 @@ TEST_F(CheckpointRecoveryTest, MutatedModelAndManifestFailCleanly) {
   EXPECT_GT(model_loaded, 0u);
   EXPECT_GE(model_mutants.size(), 100u);
   EXPECT_GE(manifest_mutants.size(), 90u);
+}
+
+// The template id and the reserved word (always 0) are enum words no count
+// check covers: a file that lies there behind a re-stamped CRC fails as
+// DataCorruption and is quarantined instead of loading an out-of-range
+// TemplateId.
+TEST_F(CheckpointRecoveryTest, LyingEnumWordsFailCleanly) {
+  const std::string dir = NewDir("enum_words");
+  const std::string path = dir + "/wm.pywm";
+  WorkloadModel model = model_->Clone();
+  ASSERT_TRUE(model.Save(path).ok());
+  Result<std::string> file = ReadFileBytes(path);
+  ASSERT_TRUE(file.ok());
+  // In WritePayload's order: the fingerprint, then the template id; five
+  // size_t dims, pos_weight, threshold and seed, then the reserved word.
+  constexpr size_t kTemplateIdAt = kFrameBytes + 8;
+  constexpr size_t kReservedAt = kTemplateIdAt + 4 + 5 * 8 + 4 + 4 + 8;
+  const auto word_at = [&](size_t offset) {
+    uint32_t v = 0;
+    std::memcpy(&v, file->data() + offset, sizeof(v));
+    return v;
+  };
+  ASSERT_EQ(word_at(kTemplateIdAt), static_cast<uint32_t>(TemplateId::kDsb91));
+  ASSERT_EQ(word_at(kReservedAt), 0u);
+
+  const std::string mutant = dir + "/mutant.pywm";
+  WriteRaw(mutant, Restamp(file.value()));
+  ASSERT_TRUE(WorkloadModel::Load(mutant).ok()) << "re-stamped original";
+  const struct {
+    size_t offset;
+    uint32_t value;
+    const char* what;
+  } lies[] = {{kTemplateIdAt, 4, "template id 4"},
+              {kTemplateIdAt, 0xffffffffu, "template id all ones"},
+              {kReservedAt, 1, "reserved word 1"}};
+  for (const auto& lie : lies) {
+    std::string m = file.value();
+    std::memcpy(&m[lie.offset], &lie.value, sizeof(lie.value));
+    WriteRaw(mutant, Restamp(m));
+    EXPECT_EQ(WorkloadModel::Load(mutant).status().code(),
+              StatusCode::kDataCorruption)
+        << lie.what;
+    EXPECT_FALSE(std::filesystem::exists(mutant)) << lie.what;
+    EXPECT_TRUE(std::filesystem::exists(mutant + ".corrupt")) << lie.what;
+    std::filesystem::remove(mutant + ".corrupt");
+  }
 }
 
 }  // namespace

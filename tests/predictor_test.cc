@@ -6,7 +6,6 @@
 #include <string>
 
 #include "core/predictor.h"
-#include "core/trace_processor.h"
 #include "storage/durable.h"
 #include "util/metrics.h"
 
@@ -97,8 +96,7 @@ TEST_F(PredictorTest, RestrictToModeledFiltersGroundTruth) {
       WorkloadModel::Train(*db_, *workload_, options);
   ASSERT_TRUE(model.ok());
   const WorkloadQuery& q = workload_->queries[0];
-  const std::unordered_set<PageId> truth =
-      model->RestrictToModeled(ProcessTrace(q.trace));
+  const std::unordered_set<PageId> truth = model->GroundTruth(q.trace);
   for (const PageId& p : truth) {
     EXPECT_EQ(p.object_id, options.restrict_objects[0]);
   }

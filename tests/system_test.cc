@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <unordered_set>
+
 #include "core/system.h"
 
 namespace pythia {
@@ -110,6 +113,24 @@ TEST_F(SystemTest, NearestNeighborEngagesWithPages) {
   EXPECT_TRUE(m.engaged);
   EXPECT_FALSE(pages.empty());
   EXPECT_GT(m.accuracy.f1, 0.0);
+  // The neighbor sets and the F1 reference are the model's ground truth:
+  // the plan stays on modeled objects and is scored like the learned mode.
+  const WorkloadModel& model = system_->model(0);
+  const std::vector<ObjectId>& modeled = model.modeled_objects();
+  for (const PageId& p : pages) {
+    EXPECT_NE(std::find(modeled.begin(), modeled.end(), p.object_id),
+              modeled.end())
+        << "object " << p.object_id;
+  }
+  const PrecisionRecall expected = ComputeSetMetrics(
+      std::unordered_set<PageId>(pages.begin(), pages.end()),
+      model.GroundTruth(q.trace));
+  EXPECT_EQ(m.accuracy.f1, expected.f1);
+  EXPECT_EQ(m.accuracy.precision, expected.precision);
+  EXPECT_EQ(m.accuracy.recall, expected.recall);
+  EXPECT_EQ(m.accuracy.true_positives, expected.true_positives);
+  EXPECT_EQ(m.accuracy.actual, expected.actual);
+  EXPECT_EQ(m.predicted_pages, pages.size());
 }
 
 TEST_F(SystemTest, PythiaModeReportsAccuracy) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "core/baselines.h"
 #include "core/trace_processor.h"
 
 namespace pythia {
@@ -20,7 +21,7 @@ TEST(TraceProcessorTest, RemovesSequentialByOrigin) {
                                       {2, 5, false},
                                       {1, 2, true},
                                       {2, 9, false}});
-  const ObjectPageSets sets = ProcessTrace(trace, SequentialRemoval::kByOrigin);
+  const ObjectPageSets sets = ProcessTrace(trace);
   ASSERT_EQ(sets.size(), 1u);
   EXPECT_EQ(sets.at(2), (std::vector<uint32_t>{5, 9}));
 }
@@ -48,31 +49,42 @@ TEST(TraceProcessorTest, SegregatesByObject) {
   EXPECT_EQ(sets.at(3), (std::vector<uint32_t>{0, 1}));
 }
 
-TEST(TraceProcessorTest, PositionalRemovalDropsRuns) {
-  // 10, 11, 12 form a run: only the first is kept positionally.
-  const QueryTrace trace = MakeTrace(
-      {{1, 10, false}, {1, 11, false}, {1, 12, false}, {1, 20, false}});
-  const ObjectPageSets sets =
-      ProcessTrace(trace, SequentialRemoval::kByPosition);
-  EXPECT_EQ(sets.at(1), (std::vector<uint32_t>{10, 20}));
-}
-
-TEST(TraceProcessorTest, PositionalRemovalTracksPerObject) {
-  // Interleaved objects do not break each other's runs.
-  const QueryTrace trace = MakeTrace(
-      {{1, 10, false}, {2, 50, false}, {1, 11, false}, {2, 51, false}});
-  const ObjectPageSets sets =
-      ProcessTrace(trace, SequentialRemoval::kByPosition);
-  EXPECT_EQ(sets.at(1), (std::vector<uint32_t>{10}));
-  EXPECT_EQ(sets.at(2), (std::vector<uint32_t>{50}));
-}
-
 TEST(TraceProcessorTest, OriginModeIgnoresPositions) {
-  // A positional run tagged non-sequential is kept in origin mode.
+  // A positional run tagged non-sequential is kept: the rule reads the
+  // executor's origin tag, not page numbers.
   const QueryTrace trace =
       MakeTrace({{1, 10, false}, {1, 11, false}, {1, 12, false}});
-  const ObjectPageSets sets = ProcessTrace(trace, SequentialRemoval::kByOrigin);
+  const ObjectPageSets sets = ProcessTrace(trace);
   EXPECT_EQ(sets.at(1), (std::vector<uint32_t>{10, 11, 12}));
+}
+
+TEST(TraceProcessorTest, OracleLabelsAndFootprintAgree) {
+  // Sequential runs, repeated pages, a page read sequentially and later
+  // non-sequentially, and a non-sequential positional run, over three
+  // objects: the oracle's plan, the training labels and the Table 1
+  // footprint are three orders of one page set.
+  const QueryTrace trace = MakeTrace({{1, 0, true},
+                                      {1, 1, true},
+                                      {2, 9, false},
+                                      {1, 2, true},
+                                      {3, 2, false},
+                                      {1, 7, false},
+                                      {2, 4, false},
+                                      {2, 9, false},
+                                      {3, 3, false},
+                                      {1, 1, false},
+                                      {3, 4, false},
+                                      {1, 7, false},
+                                      {2, 5, false},
+                                      {1, 3, true}});
+  const std::vector<PageId> first_access = {{2, 9}, {3, 2}, {1, 7}, {2, 4},
+                                            {3, 3}, {1, 1}, {3, 4}, {2, 5}};
+  EXPECT_EQ(OraclePages(trace), first_access);
+  EXPECT_EQ(ProcessTrace(trace),
+            (ObjectPageSets{{1, {1, 7}}, {2, {4, 5, 9}}, {3, {2, 3, 4}}}));
+  EXPECT_EQ(trace.DistinctNonSequential(),
+            std::unordered_set<PageId>(first_access.begin(),
+                                       first_access.end()));
 }
 
 TEST(TraceProcessorTest, EmptyTrace) {
@@ -82,17 +94,6 @@ TEST(TraceProcessorTest, EmptyTrace) {
 TEST(TraceProcessorTest, AllSequentialYieldsEmpty) {
   const QueryTrace trace = MakeTrace({{1, 0, true}, {1, 1, true}});
   EXPECT_TRUE(ProcessTrace(trace).empty());
-}
-
-TEST(FlattenPageSetsTest, PreservesObjectThenOffsetOrder) {
-  ObjectPageSets sets;
-  sets[2] = {4, 9};
-  sets[1] = {7};
-  const std::vector<PageId> flat = FlattenPageSets(sets);
-  ASSERT_EQ(flat.size(), 3u);
-  EXPECT_EQ(flat[0], (PageId{1, 7}));
-  EXPECT_EQ(flat[1], (PageId{2, 4}));
-  EXPECT_EQ(flat[2], (PageId{2, 9}));
 }
 
 TEST(QueryTraceTest, DistinctNonSequentialHelper) {
