@@ -1,5 +1,6 @@
 #include "bufmgr/buffer_pool.h"
 
+#include <algorithm>
 #include <chrono>
 #include <iterator>
 #include <string>
@@ -121,6 +122,7 @@ BufferPool::BufferPool(const Options& options, OsPageCache* os_cache,
                        (s < options.capacity_pages % n ? 1 : 0);
     shard->frames.resize(cap);
     shard->free_list.reserve(cap);
+    shard->arrivals.reserve(cap);
     for (size_t i = cap; i > 0; --i) shard->free_list.push_back(i - 1);
     shard->policy = MakeReplacementPolicy(options.policy, cap);
     shards_.push_back(std::move(shard));
@@ -132,6 +134,26 @@ bool BufferPool::Evictable(const Shard& shard, size_t frame, SimTime now) {
   if (!f.valid || f.pin_count > 0) return false;
   if (f.in_flight && f.arrival > now) return false;  // AIO still in progress
   return true;
+}
+
+void BufferPool::Track(Shard* shard, const Frame& f) {
+  if (!f.valid) return;
+  if (f.pin_count > 0) {
+    ++shard->pinned;
+  } else if (f.in_flight) {
+    std::vector<SimTime>& a = shard->arrivals;
+    a.insert(std::upper_bound(a.begin(), a.end(), f.arrival), f.arrival);
+  }
+}
+
+void BufferPool::Untrack(Shard* shard, const Frame& f) {
+  if (!f.valid) return;
+  if (f.pin_count > 0) {
+    --shard->pinned;
+  } else if (f.in_flight) {
+    std::vector<SimTime>& a = shard->arrivals;
+    a.erase(std::lower_bound(a.begin(), a.end(), f.arrival));
+  }
 }
 
 int64_t BufferPool::AllocateFrame(Shard* shard, SimTime now) {
@@ -147,6 +169,7 @@ int64_t BufferPool::AllocateFrame(Shard* shard, SimTime now) {
   const size_t f = *victim;
   shard->page_table.erase(shard->frames[f].page);
   shard->policy->OnRemove(f);
+  Untrack(shard, shard->frames[f]);
   shard->frames[f] = Frame();
   ++shard->stats.evictions;
   return static_cast<int64_t>(f);
@@ -171,7 +194,9 @@ Result<FetchResult> BufferPool::FetchPage(PageId page, SimTime now) {
       PYTHIA_TRACE_INSTANT("bufmgr", "prefetch.wait", now, "wait_us",
                            result.prefetch_wait_us, "page", page.page_no);
     }
+    Untrack(&shard, f);
     f.in_flight = false;
+    Track(&shard, f);
     result.latency_us = result.prefetch_wait_us + latency_.buffer_hit_us;
     result.source = AccessSource::kBufferHit;
     // First consumption of a prefetched frame gets the prefetch credit
@@ -263,6 +288,7 @@ Result<FetchResult> BufferPool::FetchPage(PageId page, SimTime now) {
   f.in_flight = false;
   f.installed_by_prefetch = false;
   f.pin_count = 0;
+  Track(&shard, f);
   shard.page_table[page] = static_cast<size_t>(frame);
   shard.policy->OnInsert(static_cast<size_t>(frame));
   return result;
@@ -276,7 +302,11 @@ Status BufferPool::StartPrefetch(PageId page, SimTime completion, bool pin,
   if (it != shard.page_table.end()) {
     // Already buffered: just bump its usage (and pin if requested).
     Frame& f = shard.frames[it->second];
-    if (pin) ++f.pin_count;
+    if (pin) {
+      Untrack(&shard, f);
+      ++f.pin_count;
+      Track(&shard, f);
+    }
     shard.policy->OnAccess(it->second);
     return Status::OK();
   }
@@ -292,6 +322,7 @@ Status BufferPool::StartPrefetch(PageId page, SimTime completion, bool pin,
   f.installed_by_prefetch = true;
   f.pin_count = pin ? 1 : 0;
   f.arrival = completion;
+  Track(&shard, f);
   shard.page_table[page] = static_cast<size_t>(frame);
   shard.policy->OnInsert(static_cast<size_t>(frame));
   ++shard.stats.prefetches_started;
@@ -302,17 +333,23 @@ void BufferPool::Pin(PageId page) {
   Shard& shard = *shards_[ShardOf(page)];
   Guard guard(this, &shard);
   auto it = shard.page_table.find(page);
-  if (it != shard.page_table.end()) ++shard.frames[it->second].pin_count;
+  if (it == shard.page_table.end()) return;
+  Frame& f = shard.frames[it->second];
+  Untrack(&shard, f);
+  ++f.pin_count;
+  Track(&shard, f);
 }
 
 void BufferPool::Unpin(PageId page) {
   Shard& shard = *shards_[ShardOf(page)];
   Guard guard(this, &shard);
   auto it = shard.page_table.find(page);
-  if (it != shard.page_table.end() &&
-      shard.frames[it->second].pin_count > 0) {
-    --shard.frames[it->second].pin_count;
-  }
+  if (it == shard.page_table.end()) return;
+  Frame& f = shard.frames[it->second];
+  if (f.pin_count == 0) return;
+  Untrack(&shard, f);
+  --f.pin_count;
+  Track(&shard, f);
 }
 
 bool BufferPool::Contains(PageId page) const {
@@ -363,10 +400,10 @@ double BufferPool::UnevictablePressure(SimTime now) const {
   size_t n = 0;
   for (const auto& shard : shards_) {
     Guard guard(this, shard.get(), /*profile=*/false);
-    for (const Frame& f : shard->frames) {
-      if (!f.valid) continue;
-      if (f.pin_count > 0 || (f.in_flight && f.arrival > now)) ++n;
-    }
+    const std::vector<SimTime>& a = shard->arrivals;
+    n += shard->pinned;
+    n += static_cast<size_t>(a.end() -
+                             std::upper_bound(a.begin(), a.end(), now));
   }
   return static_cast<double>(n) / static_cast<double>(options_.capacity_pages);
 }
@@ -401,6 +438,8 @@ void BufferPool::Reset() {
   for (const auto& shard : shards_) {
     Guard guard(this, shard.get(), /*profile=*/false);
     for (Frame& f : shard->frames) f = Frame();
+    shard->pinned = 0;
+    shard->arrivals.clear();
     shard->page_table.clear();
     shard->free_list.clear();
     for (size_t i = shard->frames.size(); i > 0; --i) {

@@ -184,7 +184,9 @@ class BufferPool {
   // are pinned or hold an in-flight prefetch that has not landed yet,
   // aggregated across every shard in shard order. The overload governor's
   // pool-pressure signal — at 1.0 a new fetch must bypass the pool entirely
-  // (uncached_reads).
+  // (uncached_reads). Reads each shard's kept count (Shard::pinned,
+  // Shard::arrivals) with one binary search; exact for any `now`,
+  // including one earlier than a previous call's.
   double UnevictablePressure(SimTime now) const;
 
   // Reduce over shards in shard index order. By value now: there is no
@@ -222,6 +224,13 @@ class BufferPool {
     // Lock-profile counters; written under `mu` except wait_ns/contended,
     // which the blocked thread accumulates after acquiring it.
     BufferPoolLockStats lock;
+    // The unevictable count, kept in step with `frames` by Track/Untrack:
+    // the valid frames with pin_count > 0, and the sorted arrival times of
+    // the valid, unpinned, in-flight ones. An arrival stays listed after
+    // it has passed, until its frame is consumed, pinned or evicted, so the
+    // count at any `now` is `pinned` plus the arrivals after `now`.
+    size_t pinned = 0;
+    std::vector<SimTime> arrivals;
   };
 
   // Acquires `shard.mu`, recording wait/hold times when profiling is on.
@@ -246,6 +255,12 @@ class BufferPool {
   // Caller holds the shard mutex.
   int64_t AllocateFrame(Shard* shard, SimTime now);
   static bool Evictable(const Shard& shard, size_t frame, SimTime now);
+  // Adds frame `f`'s share of the shard's unevictable count, or takes it
+  // away. Every change to a frame's validity, pin_count or in_flight flag
+  // sits between an Untrack and a Track of that frame. Caller holds the
+  // shard mutex.
+  static void Track(Shard* shard, const Frame& f);
+  static void Untrack(Shard* shard, const Frame& f);
 
   Options options_;
   OsPageCache* os_cache_;

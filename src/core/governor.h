@@ -109,7 +109,9 @@ class PrefetchGovernor {
 
   // Re-samples the pressure signals at `now`, walks the ladder (with
   // hysteresis) and returns the current rung. Cheap; sessions call it every
-  // Pump and the replay loop at every admission decision.
+  // Pump and the replay loop before every page access. The loop passes the
+  // picked query's clock plus the CPU time before the access, so `now` may
+  // be earlier than a previous call's.
   DegradationRung Evaluate(SimTime now);
   DegradationRung rung() const { return rung_; }
 

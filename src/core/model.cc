@@ -73,9 +73,18 @@ std::vector<uint32_t> PythiaModel::Predict(const std::vector<int32_t>& tokens,
 void PythiaModel::PredictBatchInto(
     const std::vector<const std::vector<int32_t>*>& batch, float threshold,
     std::vector<std::vector<uint32_t>>* out) {
+  const nn::Matrix& logits = LogitsBatch(batch);
+  out->resize(batch.size());
+  for (size_t r = 0; r < batch.size(); ++r) {
+    ThresholdLogits(logits.row(r), threshold, &(*out)[r]);
+  }
+}
+
+const nn::Matrix& PythiaModel::LogitsBatch(
+    const std::vector<const std::vector<int32_t>*>& batch) {
   const size_t b = batch.size();
-  out->resize(b);
-  if (b == 0) return;
+  logits_scratch_.Resize(b, config_.num_outputs);
+  if (b == 0) return logits_scratch_;
   repr_scratch_.Resize(b, config_.embed_dim);
   for (size_t r = 0; r < b; ++r) {
     embedding_.ForwardInto(*batch[r], &embed_scratch_);
@@ -88,20 +97,19 @@ void PythiaModel::PredictBatchInto(
   // The batched decoder: two multi-row GEMMs over all B representations at
   // once instead of B single-row passes. Row r of each product is computed
   // exactly as the 1-row path computes it, so the thresholded index lists
-  // below match a per-request Predict bit for bit.
+  // match a per-request Predict bit for bit.
   decoder1_.ApplyRelu(repr_scratch_, &hidden_scratch_);
   decoder2_.Apply(hidden_scratch_, &logits_scratch_);
+  return logits_scratch_;
+}
+
+void PythiaModel::ThresholdLogits(const float* logits, float threshold,
+                                  std::vector<uint32_t>* out) const {
   // sigmoid(x) >= t  <=>  x >= log(t / (1-t)); avoids per-page exp calls.
   const float logit_threshold = std::log(threshold / (1.0f - threshold));
-  for (size_t r = 0; r < b; ++r) {
-    std::vector<uint32_t>& row_out = (*out)[r];
-    row_out.clear();
-    const float* logits = logits_scratch_.row(r);
-    for (size_t i = 0; i < config_.num_outputs; ++i) {
-      if (logits[i] >= logit_threshold) {
-        row_out.push_back(static_cast<uint32_t>(i));
-      }
-    }
+  out->clear();
+  for (size_t i = 0; i < config_.num_outputs; ++i) {
+    if (logits[i] >= logit_threshold) out->push_back(static_cast<uint32_t>(i));
   }
 }
 

@@ -71,10 +71,22 @@ class PythiaModel {
   // to a one-row call on the same tokens: the GEMM kernels compute each
   // output row with the same k-loop order regardless of the row count
   // (nn/matrix.cc), and the bias/ReLU epilogues and the logit thresholding
-  // are row-wise. out is resized to batch.size().
+  // are row-wise. out is resized to batch.size(). It is LogitsBatch
+  // followed by ThresholdLogits on each row.
   void PredictBatchInto(const std::vector<const std::vector<int32_t>*>& batch,
                         float threshold,
                         std::vector<std::vector<uint32_t>>* out);
+
+  // The logits pass of PredictBatchInto: row r holds request r's logits
+  // over the output pages, (batch.size() x num_outputs). Returns member
+  // scratch, valid until the next inference call on this model.
+  const nn::Matrix& LogitsBatch(
+      const std::vector<const std::vector<int32_t>*>& batch);
+
+  // The one decision rule: the indices of `logits` (one row of num_outputs)
+  // whose sigmoid probability is >= threshold, ascending, into *out.
+  void ThresholdLogits(const float* logits, float threshold,
+                       std::vector<uint32_t>* out) const;
 
   nn::ParamList Params();
   const PythiaModelConfig& config() const { return config_; }

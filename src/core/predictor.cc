@@ -360,18 +360,34 @@ IncrementalTrainReport WorkloadModel::IncrementalTrain(
     for (const IncrementalSample& s : samples) {
       truths.push_back(GroundTruth(*s.trace));
     }
+    // One logits pass per unit over every sample; each grid point only
+    // re-thresholds the stored logits, which is what Predict at that
+    // threshold would return.
+    std::vector<const std::vector<int32_t>*> batch(samples.size());
+    for (size_t i = 0; i < samples.size(); ++i) batch[i] = &encoded[i];
+    std::vector<nn::Matrix> logits(units_.size());
+    ThreadPool::Global().ParallelFor(
+        0, units_.size(),
+        [&](size_t u) { logits[u] = units_[u].model->LogitsBatch(batch); },
+        options_.num_threads);
     const float original = options_.threshold;
     float best_threshold = original;
     double best_f1 = -1.0;
     double best_precision = -1.0;
     bool best_meets_floor = false;
+    std::vector<uint32_t> picked;
     for (const float t : kGrid) {
-      options_.threshold = t;
       double f1 = 0.0;
       double precision = 0.0;
       for (size_t i = 0; i < samples.size(); ++i) {
-        const PrecisionRecall m =
-            ComputeSetMetrics(Predict(*samples[i].tokens), truths[i]);
+        std::unordered_set<PageId> predicted;
+        for (size_t u = 0; u < units_.size(); ++u) {
+          units_[u].model->ThresholdLogits(logits[u].row(i), t, &picked);
+          for (uint32_t idx : picked) {
+            predicted.insert(units_[u].output_pages[idx]);
+          }
+        }
+        const PrecisionRecall m = ComputeSetMetrics(predicted, truths[i]);
         f1 += m.f1;
         precision += m.precision;
       }
@@ -539,10 +555,18 @@ void WorkloadModel::WritePayload(ByteWriter* w) {
     w->String<uint32_t>(vocab_.Token(static_cast<int32_t>(i)));
   }
 
-  // Profiles.
+  // Profiles, each in sorted order: a set's iteration order follows its
+  // insertion history, and a loaded model must save to the same bytes.
   for (const auto* set : {&token_profile_, &structure_profile_}) {
-    w->Pod(static_cast<uint32_t>(set->size()));
-    for (const std::string& s : *set) w->String<uint32_t>(s);
+    std::vector<const std::string*> sorted;
+    sorted.reserve(set->size());
+    for (const std::string& s : *set) sorted.push_back(&s);
+    std::sort(sorted.begin(), sorted.end(),
+              [](const std::string* a, const std::string* b) {
+                return *a < *b;
+              });
+    w->Pod(static_cast<uint32_t>(sorted.size()));
+    for (const std::string* s : sorted) w->String<uint32_t>(*s);
   }
 
   // Units.

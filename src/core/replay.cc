@@ -3,8 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <deque>
+#include <functional>
 #include <limits>
+#include <numeric>
+#include <queue>
 #include <thread>
+#include <utility>
 
 #include "util/trace.h"
 
@@ -129,9 +133,7 @@ ConcurrentResult ReplayConcurrent(const std::vector<ConcurrentQuery>& queries,
   const LatencyModel& latency = env->options().latency;
   const size_t n = queries.size();
 
-  enum class Phase { kPendingArrival, kQueued, kRunning, kDone };
   struct QueryState {
-    Phase phase = Phase::kPendingArrival;
     SimTime clock = 0;
     SimTime deadline_at = 0;  // 0 = no deadline
     size_t next_access = 0;
@@ -157,8 +159,22 @@ ConcurrentResult ReplayConcurrent(const std::vector<ConcurrentQuery>& queries,
   const BufferPoolStats pool_before =
       solo ? env->pool().stats() : BufferPoolStats{};
 
+  // The two event sources. Arrivals are taken in (arrival, index) order
+  // through a cursor over a stable sort; the running queries sit in a
+  // min-heap keyed by (clock, index). A query's clock only moves while it
+  // is the popped pick, so every key in the heap is current.
+  std::vector<size_t> arrival_order(n);
+  std::iota(arrival_order.begin(), arrival_order.end(), size_t{0});
+  std::stable_sort(arrival_order.begin(), arrival_order.end(),
+                   [&queries](size_t a, size_t b) {
+                     return queries[a].arrival_us < queries[b].arrival_us;
+                   });
+  size_t next_arrival = 0;  // into arrival_order
+  using Event = std::pair<SimTime, size_t>;  // (clock, query index)
+  std::priority_queue<Event, std::vector<Event>, std::greater<Event>> running;
+
   size_t active = 0;
-  std::deque<size_t> wait_queue;  // FIFO of kQueued indices
+  std::deque<size_t> wait_queue;  // FIFO of queued query indices
   // Latest virtual time any event has been processed at. Queue admissions
   // can never happen before it — a freed slot is only usable "now".
   SimTime watermark = 0;
@@ -169,7 +185,6 @@ ConcurrentResult ReplayConcurrent(const std::vector<ConcurrentQuery>& queries,
       st.session->Finish();
       result.queries[i].prefetch_stats = st.session->stats();
     }
-    st.phase = Phase::kDone;
     result.end_us[i] = end;
     QueryRunMetrics& m = result.queries[i];
     m.status = std::move(status);
@@ -191,7 +206,6 @@ ConcurrentResult ReplayConcurrent(const std::vector<ConcurrentQuery>& queries,
   // Starts query `i` at virtual time `start` (its admission time).
   auto admit = [&](size_t i, SimTime start) {
     QueryState& st = states[i];
-    st.phase = Phase::kRunning;
     st.clock = start;
     result.start_us[i] = start;
     result.queries[i] = queries[i].planned;
@@ -225,6 +239,8 @@ ConcurrentResult ReplayConcurrent(const std::vector<ConcurrentQuery>& queries,
     }
     if (queries[i].trace->accesses.empty()) {
       finish_query(i, start, Status::OK());
+    } else {
+      running.push({start, i});
     }
   };
 
@@ -237,7 +253,6 @@ ConcurrentResult ReplayConcurrent(const std::vector<ConcurrentQuery>& queries,
       return;
     }
     if (wait_queue.size() < options.admission_queue_limit) {
-      states[i].phase = Phase::kQueued;
       wait_queue.push_back(i);
       PYTHIA_TRACE_INSTANT("overload", "admit.enqueue", arrival, "query",
                            static_cast<uint64_t>(i), "depth",
@@ -246,7 +261,6 @@ ConcurrentResult ReplayConcurrent(const std::vector<ConcurrentQuery>& queries,
     }
     // Saturated and the queue is full: reject outright rather than build an
     // unbounded backlog. The query never runs; it costs the system nothing.
-    states[i].phase = Phase::kDone;
     result.start_us[i] = arrival;
     result.end_us[i] = arrival;
     result.queries[i].status =
@@ -270,37 +284,19 @@ ConcurrentResult ReplayConcurrent(const std::vector<ConcurrentQuery>& queries,
   };
 
   // Event loop: the next event is either the earliest unprocessed arrival
-  // or the smallest running-query clock; arrivals win ties so admission
-  // state is up to date before work advances past that instant.
+  // (lowest index first among equal times) or the smallest running-query
+  // clock (lowest index first among equal clocks); arrivals win ties so
+  // admission state is up to date before work advances past that instant.
   for (;;) {
-    size_t next_arrival = n;
-    SimTime arrival_t = std::numeric_limits<SimTime>::max();
-    size_t pick = n;
-    SimTime best = std::numeric_limits<SimTime>::max();
-    for (size_t i = 0; i < n; ++i) {
-      switch (states[i].phase) {
-        case Phase::kPendingArrival:
-          if (queries[i].arrival_us < arrival_t) {
-            arrival_t = queries[i].arrival_us;
-            next_arrival = i;
-          }
-          break;
-        case Phase::kRunning:
-          if (states[i].clock < best) {
-            best = states[i].clock;
-            pick = i;
-          }
-          break;
-        default:
-          break;
-      }
-    }
-
-    if (next_arrival < n && arrival_t <= best) {
-      on_arrival(next_arrival);
+    const SimTime best = running.empty()
+                             ? std::numeric_limits<SimTime>::max()
+                             : running.top().first;
+    if (next_arrival < n &&
+        queries[arrival_order[next_arrival]].arrival_us <= best) {
+      on_arrival(arrival_order[next_arrival++]);
       continue;
     }
-    if (pick == n) {
+    if (running.empty()) {
       if (!wait_queue.empty()) {
         // Nothing running and nothing arriving, yet queries are queued
         // (e.g. the freed slot went to an empty-trace query that finished
@@ -314,6 +310,8 @@ ConcurrentResult ReplayConcurrent(const std::vector<ConcurrentQuery>& queries,
       break;
     }
 
+    const size_t pick = running.top().second;
+    running.pop();
     QueryState& st = states[pick];
     if (tracing) {
       if (!solo) tracer.SetTrack(tracks[pick]);
@@ -357,6 +355,8 @@ ConcurrentResult ReplayConcurrent(const std::vector<ConcurrentQuery>& queries,
     if (++st.next_access >= queries[pick].trace->accesses.size()) {
       finish_query(pick, st.clock, Status::OK());
       admit_from_queue(st.clock);
+    } else {
+      running.push({st.clock, pick});
     }
   }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -476,6 +477,64 @@ TEST(ShardedPoolTest, AggregatesSpanAllShards) {
   pool.Reset();
   EXPECT_EQ(pool.used_frames(), 0u);
   EXPECT_EQ(pool.pinned_frames(), 0u);
+}
+
+TEST(ShardedPoolTest, UnevictableCountMatchesPerPageReference) {
+  // The pool keeps its unevictable count as frames change. Seeded random
+  // fetches, pinned and unpinned prefetches, pins, unpins and resets, with
+  // `now` drawn out of order as the replay loop's governor calls are, must
+  // leave UnevictablePressure(t) equal, at every probe time t, to a count
+  // over the public per-page queries. Probes below an earlier operation's
+  // `now` are what a count pruned at the latest `now` would get wrong.
+  LatencyModel latency;
+  constexpr size_t kCapacity = 16;
+  for (const size_t shards : {size_t{1}, size_t{4}}) {
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+      OsPageCache os(OsPageCache::Options{.capacity_pages = 256,
+                                          .readahead_pages = 0},
+                     latency);
+      BufferPool pool(BufferPool::Options{.capacity_pages = kCapacity,
+                                          .num_shards = shards},
+                      &os, latency);
+      Pcg32 rng(seed, shards);
+      std::set<PageId> touched;
+      for (int op = 0; op < 1500; ++op) {
+        const SimTime now = rng.UniformU32(1000);
+        const PageId page{1 + rng.UniformU32(2), rng.UniformU32(24)};
+        touched.insert(page);
+        const uint32_t kind = rng.UniformU32(100);
+        if (kind < 30) {
+          ASSERT_TRUE(pool.FetchPage(page, now).ok());
+        } else if (kind < 65) {
+          // Rejected when the shard is all pinned or in flight; the count
+          // must not move then either.
+          const SimTime completion = now + rng.UniformU32(600);
+          (void)pool.StartPrefetch(page, completion, /*pin=*/kind >= 50, now);
+        } else if (kind < 75) {
+          pool.Pin(page);
+        } else if (kind < 99) {
+          pool.Unpin(page);
+        } else {
+          pool.Reset();
+        }
+        const SimTime probes[] = {0, now, now + 1, rng.UniformU32(1600),
+                                  rng.UniformU32(1600), 1u << 20};
+        for (const SimTime t : probes) {
+          size_t expected = 0;
+          for (const PageId& p : touched) {
+            if (pool.Contains(p) &&
+                (pool.IsPinned(p) || pool.IsInFlight(p, t))) {
+              ++expected;
+            }
+          }
+          ASSERT_DOUBLE_EQ(pool.UnevictablePressure(t),
+                           static_cast<double>(expected) / kCapacity)
+              << "shards " << shards << " seed " << seed << " op " << op
+              << " t " << t;
+        }
+      }
+    }
+  }
 }
 
 TEST(ShardedPoolTest, LockProfilingCountsAcquisitions) {

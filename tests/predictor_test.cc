@@ -187,6 +187,16 @@ TEST_F(PredictorTest, SaveLoadRoundTripPredictsIdentically) {
     EXPECT_DOUBLE_EQ(model->MatchScore(q.tokens, q.structure_key),
                      loaded->MatchScore(q.tokens, q.structure_key));
   }
+
+  // Saving the loaded model reproduces the file byte for byte, so a
+  // republished model keeps its file identity.
+  const std::string resaved = ::testing::TempDir() + "/wm_resaved.pywm";
+  ASSERT_TRUE(loaded->Save(resaved).ok());
+  const Result<std::string> original_bytes = ReadFileBytes(path);
+  const Result<std::string> resaved_bytes = ReadFileBytes(resaved);
+  ASSERT_TRUE(original_bytes.ok());
+  ASSERT_TRUE(resaved_bytes.ok());
+  EXPECT_TRUE(*original_bytes == *resaved_bytes);
 }
 
 TEST_F(PredictorTest, LoadMissingFileFails) {

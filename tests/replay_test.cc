@@ -288,6 +288,38 @@ TEST(ReplayTest, ConcurrentQueriesShareBufferPool) {
   b.trace = &trace;
   const ConcurrentResult conc = ReplayConcurrent({a, b}, {}, &env);
   EXPECT_LT(conc.total_query_us, 2 * solo.elapsed_us);
+  // Both arrive at 0 and their clocks tie until their paths part, so these
+  // golden times pin the event order's tie rule: among equal clocks the
+  // lowest index runs first.
+  EXPECT_EQ(conc.start_us[0], 0u);
+  EXPECT_EQ(conc.start_us[1], 0u);
+  EXPECT_EQ(conc.end_us[0], 56489u);
+  EXPECT_EQ(conc.end_us[1], 55977u);
+}
+
+TEST(ReplayTest, ArrivalWinsATieWithARunningClock) {
+  // One slot and no queue. `b` arrives at the instant `a`'s first access
+  // ends, which is `a`'s clock for its second access. The arrival goes
+  // first, finds the slot taken and is rejected; stepping `a` first would
+  // have finished it and freed the slot.
+  SimEnvironment env(SmallSim());
+  const LatencyModel& lat = env.options().latency;
+  QueryTrace two;
+  two.accesses.push_back(PageAccess{PageId{1, 0}, false, 10});
+  two.accesses.push_back(PageAccess{PageId{1, 500}, false, 10});
+  QueryTrace one;
+  one.accesses.push_back(PageAccess{PageId{2, 0}, false, 10});
+  ConcurrentQuery a, b;
+  a.trace = &two;
+  b.trace = &one;
+  b.arrival_us = 10 * lat.cpu_per_tuple_us + lat.disk_random_read_us;
+  ConcurrentOptions options;
+  options.max_active_queries = 1;
+  options.admission_queue_limit = 0;
+  const ConcurrentResult conc = ReplayConcurrent({a, b}, options, &env);
+  EXPECT_TRUE(conc.queries[0].status.ok());
+  EXPECT_EQ(conc.queries[1].status.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(conc.admission.rejected, 1u);
 }
 
 TEST(ReplayTest, ArrivalTimesRespected) {
