@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "core/replay.h"
-#include "util/metrics_registry.h"
 #include "util/rng.h"
 #include "util/table_printer.h"
 #include "util/trace.h"

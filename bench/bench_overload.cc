@@ -30,7 +30,6 @@
 #include "core/governor.h"
 #include "core/replay.h"
 #include "util/metrics.h"
-#include "util/metrics_registry.h"
 #include "util/rng.h"
 #include "util/table_printer.h"
 

@@ -67,9 +67,8 @@ if [[ "${MODE}" == thread ]]; then
 
   # Batch-queue soak: BatchPredictor flush windows fan the decoder GEMMs out
   # on the ThreadPool (WorkloadModel::PredictBatch -> per-unit lanes writing
-  # disjoint batch_scratch rows), plus the lane-busy/queue-depth metrics the
-  # workers publish while tests drive them. Repeating the suite keeps those
-  # lanes hot long enough for TSan to interleave them meaningfully.
+  # disjoint batch_scratch rows). Repeating the suite keeps those lanes hot
+  # long enough for TSan to interleave them meaningfully.
   "${BUILD_DIR}/tests/batch_predictor_test" --gtest_repeat=5
 
   # Sharded-pool soak: real threads hammering the lock-striped BufferPool

@@ -13,11 +13,13 @@
 //  - replacement among evictable frames is delegated to a pluggable policy
 //    (Clock by default, LRU/MRU for Figure 12e).
 //
-// Sharding (the fleet-scale refactor): the page table, frame array, free
-// list, replacement policy, stats and RNG stream are partitioned into
-// `num_shards` independent shards keyed by PageId hash, each behind its own
-// mutex. Concurrent fetches of pages in different shards never contend; the
-// single-mutex ceiling the fleet benchmarks hit becomes 1/N-th as tall.
+// Sharding: the page table, frame array, free list, replacement policy and
+// stats are partitioned into `num_shards` independent shards keyed by
+// PageId hash, each behind its own mutex, so concurrent fetches of pages in
+// different shards never contend. That the single pool mutex limits a fleet
+// is not shown: in the committed bench_shard run (BENCH_shard.json, 8
+// threads on a 4-vCPU VM) 1.24% of the 1-shard pool's lock acquisitions
+// contended, and 8 shards ran at 0.90x the throughput of one.
 // Determinism rules:
 //  - `num_shards = 1` (the default) is bit-identical to the historical
 //    unsharded pool — one shard, full capacity, same code path order — so
@@ -31,9 +33,9 @@
 // mutex wait and hold times — `try_lock` first, so the uncontended fast path
 // costs two steady_clock reads and the contended path additionally records
 // how long it spent blocked — and mirrors contended acquisitions into the
-// trace layer. This is the evidence `bench_shard` uses to show the single
-// pool mutex was the fleet bottleneck. Wall-clock instrumentation only:
-// virtual-time results are unaffected, so profiled runs stay deterministic.
+// trace layer. `bench_shard` reports these counts for each shard count.
+// Wall-clock instrumentation only: virtual-time results are unaffected, so
+// profiled runs stay deterministic.
 #ifndef PYTHIA_BUFMGR_BUFFER_POOL_H_
 #define PYTHIA_BUFMGR_BUFFER_POOL_H_
 
@@ -201,7 +203,8 @@ class BufferPool {
   // Empties the pool (Postgres restart between experiment runs). Also
   // resets each shard's replacement policy to its freshly-constructed state
   // — a restarted pool and a fresh pool must make identical eviction
-  // decisions on the same trace (the Clock-hand bug this PR fixes).
+  // decisions on the same trace (a Clock hand left where the previous run
+  // parked it broke this once).
   void Reset();
 
  private:

@@ -6,7 +6,6 @@
 #include "core/replay.h"
 #include "core/system.h"
 #include "util/metrics.h"
-#include "util/metrics_registry.h"
 #include "util/trace.h"
 
 namespace pythia {
@@ -107,13 +106,7 @@ void AdaptationManager::ObserveQuery(size_t entry, const WorkloadQuery& query,
   capture.tokens = query.tokens;
   capture.trace = query.trace;
   capture.structure_key = query.structure_key;
-  const uint64_t attempted = metrics.prefetch_stats.issued +
-                             metrics.prefetch_stats.already_buffered;
-  capture.useful_ratio =
-      attempted > 0
-          ? SafeDiv(static_cast<double>(metrics.prefetch_stats.consumed),
-                    static_cast<double>(attempted))
-          : 0.0;
+  capture.useful_ratio = metrics.prefetch_stats.useful_ratio();
   st.window.push_back(std::move(capture));
   while (st.window.size() > options_.window_capacity) st.window.pop_front();
   ++st.fresh;
@@ -258,7 +251,7 @@ bool AdaptationManager::ShadowValidate(size_t entry, EntryState* st) {
   WorkloadModel& incumbent = system_->model(entry);
 
   double default_us = 0.0, candidate_us = 0.0, incumbent_us = 0.0;
-  uint64_t attempted = 0, consumed = 0;
+  PrefetchSessionStats candidate_prefetch;  // summed over the holdout
   for (const Capture& c : st->holdout) {
     // No-prefetch baseline (the paper's DFLT), cold.
     shadow.ColdRestart();
@@ -275,9 +268,9 @@ bool AdaptationManager::ShadowValidate(size_t entry, EntryState* st) {
     };
     const QueryRunMetrics cand = replay_with(st->candidate.get());
     candidate_us += static_cast<double>(cand.elapsed_us);
-    attempted +=
-        cand.prefetch_stats.issued + cand.prefetch_stats.already_buffered;
-    consumed += cand.prefetch_stats.consumed;
+    candidate_prefetch.issued += cand.prefetch_stats.issued;
+    candidate_prefetch.already_buffered += cand.prefetch_stats.already_buffered;
+    candidate_prefetch.consumed += cand.prefetch_stats.consumed;
 
     const QueryRunMetrics inc = replay_with(&incumbent);
     incumbent_us += static_cast<double>(inc.elapsed_us);
@@ -285,10 +278,7 @@ bool AdaptationManager::ShadowValidate(size_t entry, EntryState* st) {
 
   const double candidate_speedup = SafeDiv(default_us, candidate_us);
   const double incumbent_speedup = SafeDiv(default_us, incumbent_us);
-  const double useful =
-      attempted > 0 ? SafeDiv(static_cast<double>(consumed),
-                              static_cast<double>(attempted))
-                    : 0.0;
+  const double useful = candidate_prefetch.useful_ratio();
   const bool passed =
       candidate_speedup >= options_.min_speedup_vs_default &&
       candidate_speedup >=

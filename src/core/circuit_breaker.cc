@@ -22,8 +22,9 @@ const char* BreakerStateName(BreakerState state) {
 
 bool IsHealthyPrefetch(const PrefetchSessionStats& stats,
                        const PrefetchHealthPolicy& policy) {
-  const uint64_t attempted = stats.issued + stats.already_buffered +
-                             stats.dropped_faulty;
+  // Not stats.attempted(): a read that faulted was attempted too, and the
+  // fault fraction below is taken over it.
+  const uint64_t attempted = stats.attempted() + stats.dropped_faulty;
   if (attempted < policy.min_attempted) return true;
   const uint64_t faulted = stats.dropped_faulty + stats.timed_out;
   if (static_cast<double>(faulted) >

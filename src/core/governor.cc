@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/prefetcher.h"
-#include "util/metrics_registry.h"
 #include "util/trace.h"
 
 namespace pythia {
@@ -41,24 +40,18 @@ PrefetchGovernor::PrefetchGovernor(const GovernorOptions& options,
                                    BufferPool* pool, IoScheduler* io,
                                    OsPageCache* os_cache)
     : options_(options), pool_(pool), io_(io), os_cache_(os_cache) {
-  max_pinned_ = options.max_pinned_pages > 0 ? options.max_pinned_pages
-                                             : pool_->capacity() * 3 / 4;
+  max_pinned_ = options.max_pinned_pages > 0
+                    ? options.max_pinned_pages
+                    : PrefetchPinHeadroom(pool_->capacity());
   if (max_pinned_ == 0) max_pinned_ = 1;
   max_aio_ = options.max_outstanding_aio > 0 ? options.max_outstanding_aio
                                              : io_->num_channels() * 4;
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  for (int r = 0; r < kNumDegradationRungs; ++r) {
-    dwell_[r] = &reg.histogram(
-        std::string("overload.rung_dwell.") +
-        DegradationRungName(static_cast<DegradationRung>(r)));
-  }
 }
 
 uint64_t PrefetchGovernor::RegisterSession(PrefetchSession* session,
                                            int priority) {
   const uint64_t id = next_session_id_++;
   sessions_[id] = SessionEntry{session, priority, 0};
-  ++stats_.sessions_registered;
   return id;
 }
 
@@ -176,11 +169,6 @@ double PrefetchGovernor::RungThreshold(DegradationRung rung) const {
 
 void PrefetchGovernor::SetRung(DegradationRung next, SimTime now) {
   if (next == rung_) return;
-  // How long the outgoing rung was dwelt on, in virtual µs (saturating:
-  // restarts rewind the clock, and a 0-length dwell is still a sample).
-  const SimTime dwell = now >= rung_since_ ? now - rung_since_ : 0;
-  dwell_[static_cast<int>(rung_)]->Record(dwell);
-  rung_since_ = now;
   if (static_cast<int>(next) > static_cast<int>(rung_)) {
     ++stats_.rung_degrades;
   } else {
@@ -233,7 +221,6 @@ void PrefetchGovernor::Reset() {
     os_cache_->set_hedging_suppressed(false);
   }
   rung_ = DegradationRung::kFullNeural;
-  rung_since_ = 0;
   stats_ = GovernorStats();
 }
 

@@ -42,7 +42,6 @@
 #include "core/query_metrics.h"
 #include "storage/io_scheduler.h"
 #include "storage/os_cache.h"
-#include "util/metrics_registry.h"
 
 namespace pythia {
 
@@ -50,8 +49,8 @@ class PrefetchSession;
 
 struct GovernorOptions {
   // Global cap on pinned prefetch pages across all sessions.
-  // 0 = derive: 3/4 of the buffer-pool capacity (the same headroom rule a
-  // single session applies to itself).
+  // 0 = derive: PrefetchPinHeadroom (core/prefetcher.h), the same headroom
+  // rule a single session applies to itself.
   size_t max_pinned_pages = 0;
   // Cap on outstanding async reads across all sessions. 0 = derive:
   // 4 in-flight reads per I/O channel.
@@ -64,7 +63,6 @@ struct GovernorOptions {
 };
 
 struct GovernorStats {
-  uint64_t sessions_registered = 0;
   uint64_t pin_grants = 0;
   uint64_t pin_denials = 0;        // no budget and no lower-priority victim
   uint64_t shed_events = 0;        // TryAcquirePin calls that shed a victim
@@ -131,13 +129,8 @@ class PrefetchGovernor {
 
   // Cold environment restart: virtual clocks rewind to 0, so async
   // completions recorded against the old timeline would never prune —
-  // drop them. Rung, stats and session registrations are untouched. The
-  // dwell anchor rewinds with the clock so per-rung dwell histograms never
-  // see a negative (wrapped) duration.
-  void OnEnvironmentRestart() {
-    aio_completions_ = {};
-    rung_since_ = 0;
-  }
+  // drop them. Rung, stats and session registrations are untouched.
+  void OnEnvironmentRestart() { aio_completions_ = {}; }
 
   // Back to kFullNeural with empty ledgers (environment restart between
   // experiment arms). Live sessions must have been finished first.
@@ -147,10 +140,7 @@ class PrefetchGovernor {
   // manifest recorded, without counting a degrade/recovery transition —
   // the ladder then relaxes (or tightens) naturally as Evaluate() samples
   // the rebuilt environment's real pressure.
-  void RestoreRung(DegradationRung rung) {
-    rung_ = rung;
-    rung_since_ = 0;
-  }
+  void RestoreRung(DegradationRung rung) { rung_ = rung; }
 
  private:
   struct SessionEntry {
@@ -180,11 +170,6 @@ class PrefetchGovernor {
       aio_completions_;
 
   DegradationRung rung_ = DegradationRung::kFullNeural;
-  // Virtual time the current rung was entered; SetRung records the elapsed
-  // dwell into the "overload.rung_dwell.<rung>" histogram on exit.
-  SimTime rung_since_ = 0;
-  // Those histograms by rung, resolved once at construction.
-  Histogram* dwell_[kNumDegradationRungs] = {};
   GovernorStats stats_;
 };
 

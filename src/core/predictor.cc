@@ -370,8 +370,7 @@ IncrementalTrainReport WorkloadModel::IncrementalTrain(
         0, units_.size(),
         [&](size_t u) { logits[u] = units_[u].model->LogitsBatch(batch); },
         options_.num_threads);
-    const float original = options_.threshold;
-    float best_threshold = original;
+    float best_threshold = options_.threshold;
     double best_f1 = -1.0;
     double best_precision = -1.0;
     bool best_meets_floor = false;
@@ -404,7 +403,6 @@ IncrementalTrainReport WorkloadModel::IncrementalTrain(
       }
     }
     options_.threshold = best_threshold;
-    report.threshold_changed = best_threshold != original;
   }
   report.threshold = options_.threshold;
 

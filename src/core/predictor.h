@@ -105,7 +105,6 @@ struct IncrementalTrainReport {
   // Decision threshold in effect after the round (== the pre-round value
   // when calibration is disabled or kept the incumbent threshold).
   float threshold = 0.0f;
-  bool threshold_changed = false;
 };
 
 // A trained workload model. It learns, and is scored on, one label rule

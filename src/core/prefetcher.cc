@@ -23,11 +23,9 @@ PrefetchSession::PrefetchSession(std::vector<PageId> pages,
     std::sort(queue_.begin(), queue_.end());
     queue_.erase(std::unique(queue_.begin(), queue_.end()), queue_.end());
   }
-  // Leave headroom in the pool so the executor always has evictable frames:
-  // prefetch at most 3/4 of the buffer capacity for one query.
   budget_ = options_.max_prefetch_pages > 0
                 ? options_.max_prefetch_pages
-                : pool_->capacity() * 3 / 4;
+                : PrefetchPinHeadroom(pool_->capacity());
   if (queue_.size() > budget_) {
     stats_.skipped_budget = queue_.size() - budget_;
     queue_.resize(budget_);

@@ -25,11 +25,21 @@
 #include "bufmgr/buffer_pool.h"
 #include "storage/io_scheduler.h"
 #include "storage/os_cache.h"
+#include "util/metrics.h"
 
 namespace pythia {
 
 class PrefetchGovernor;
 class ChannelBreakerBoard;
+
+// The prefetch headroom rule: speculative pins may hold at most 3/4 of the
+// buffer pool, so the executor always has evictable frames. A session caps
+// its own budget at it, and the governor derives its global pin budget from
+// it (the zero defaults of PrefetcherOptions::max_prefetch_pages and
+// GovernorOptions::max_pinned_pages).
+inline size_t PrefetchPinHeadroom(size_t pool_capacity) {
+  return pool_capacity * 3 / 4;
+}
 
 enum class PrefetchOrder {
   kFileOffset,   // Pythia: sort by (object, page) — OS-readahead friendly
@@ -45,7 +55,7 @@ struct PrefetcherOptions {
   PrefetchOrder order = PrefetchOrder::kFileOffset;
   // Cap on how many pages may be prefetched for one query, used to "perform
   // limited prefetching to stay within buffer memory bounds" (Section 5.1).
-  // 0 = derive from the buffer pool capacity.
+  // 0 = derive from the buffer pool capacity (PrefetchPinHeadroom).
   size_t max_prefetch_pages = 0;
   // Deadline for an outstanding prefetch: a page issued more than this long
   // ago without being consumed is unpinned and written off (the window
@@ -82,6 +92,16 @@ struct PrefetchSessionStats {
   uint64_t shed_by_governor = 0;  // pages unpinned for higher-priority work
   uint64_t denied_by_governor = 0;  // pin requests the governor refused
   uint64_t dropped_brownout = 0;  // shed off quarantined (browned-out) channels
+
+  // Pages the session tried to bring in: issued reads plus pages it found
+  // already buffered. (IsHealthyPrefetch counts dropped_faulty reads as
+  // attempted too; the watchdog, adaptation and shadow validation do not.)
+  uint64_t attempted() const { return issued + already_buffered; }
+  // Share of the attempted pages the query consumed; 0 when none were.
+  double useful_ratio() const {
+    return SafeDiv(static_cast<double>(consumed),
+                   static_cast<double>(attempted()));
+  }
 };
 
 class PrefetchSession {

@@ -307,8 +307,8 @@ QueryRunMetrics PythiaSystem::RunQuery(
   // session (consumed / attempted); tiny sessions are skipped inside.
   if (watchdog_entry >= 0 && !metrics.degraded_by_watchdog &&
       metrics.engaged) {
-    entries_[watchdog_entry]->watchdog.Record(
-        session.issued + session.already_buffered, session.consumed);
+    entries_[watchdog_entry]->watchdog.Record(session.attempted(),
+                                              session.consumed);
   }
   // Feed the adaptation manager every learned-mode query that matched a
   // model (including watchdog-degraded ones — their traces are exactly what

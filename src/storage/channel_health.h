@@ -9,7 +9,7 @@
 //
 //  - an EWMA of that channel's service time (the fast-moving "how slow is
 //    it right now" score), and
-//  - a windowed log2 histogram (the same 65-bucket machinery as
+//  - a windowed log2 histogram (the kLog2Buckets layout of
 //    util/metrics_registry.h) whose bucket-interpolated p99 is published
 //    each time the window fills — the slow-moving "what does this channel's
 //    tail normally look like" baseline.
@@ -103,13 +103,13 @@ class ChannelHealthTracker {
                          (1.0 - options_.ewma_alpha) * ch.LoadEwma();
     ch.StoreEwma(ewma);
     ch.samples.store(n + 1, std::memory_order_relaxed);
-    // Windowed log2 histogram in Histogram's layout (bucket b holds samples
-    // of bit width b), so the p99 is Log2BucketQuantile's estimate.
+    // Windowed log2 histogram in the kLog2Buckets layout (bucket b holds
+    // samples of bit width b), so the p99 is Log2BucketQuantile's estimate.
     const size_t b = static_cast<size_t>(std::bit_width(latency_us));
     ++ch.window_buckets[b];
     if (++ch.window_count >= options_.window_samples &&
         options_.window_samples > 0) {
-      for (size_t i = 0; i < kBuckets; ++i) {
+      for (size_t i = 0; i < kLog2Buckets; ++i) {
         ch.completed_buckets[i] = ch.window_buckets[i];
         ch.window_buckets[i] = 0;
       }
@@ -271,7 +271,7 @@ class ChannelHealthTracker {
     for (auto& chp : channels_) {
       ChannelState& ch = *chp;
       std::lock_guard<std::mutex> lock(ch.mu);
-      for (size_t i = 0; i < kBuckets; ++i) {
+      for (size_t i = 0; i < kLog2Buckets; ++i) {
         ch.window_buckets[i] = 0;
         ch.completed_buckets[i] = 0;
       }
@@ -291,13 +291,11 @@ class ChannelHealthTracker {
   }
 
  private:
-  static constexpr size_t kBuckets = Histogram::kBuckets;
-
   struct ChannelState {
     std::mutex mu;  // guards the window buckets; summaries are atomics
-    uint64_t window_buckets[kBuckets] = {};
+    uint64_t window_buckets[kLog2Buckets] = {};
     uint64_t window_count = 0;
-    uint64_t completed_buckets[kBuckets] = {};
+    uint64_t completed_buckets[kLog2Buckets] = {};
     uint64_t completed_count = 0;
     std::atomic<uint64_t> ewma_bits{0};  // double bit pattern
     std::atomic<uint64_t> samples{0};

@@ -106,12 +106,9 @@ struct FaultStats {
   uint64_t injected_bit_flips = 0;
   uint64_t injected_torn_writes = 0;
   uint64_t injected_stale_reads = 0;
-  uint64_t durable_writes_probed = 0;
   uint64_t injected_durable_torn_writes = 0;
   uint64_t injected_rename_failures = 0;
   uint64_t injected_brownout_reads = 0;  // reads slowed inside the window
-  SimTime injected_spike_us = 0;  // total extra latency from spikes
-  SimTime injected_stall_us = 0;  // total extra latency from stalls
   SimTime injected_brownout_us = 0;  // total extra latency from the brownout
 };
 
@@ -181,7 +178,6 @@ class FaultInjector {
       fault.extra_latency_us =
           static_cast<SimTime>(static_cast<double>(base_latency_us) * mult);
       ++stats_.injected_spikes;
-      stats_.injected_spike_us += fault.extra_latency_us;
     }
     // Brownout window: keyed on the device-read ordinal (0-based, counted by
     // disk_reads_probed above), so the window is a deterministic function of
@@ -218,7 +214,6 @@ class FaultInjector {
     if (config_.aio_stall_prob <= 0.0) return 0;
     if (stall_rng_.UniformDouble() >= config_.aio_stall_prob) return 0;
     ++stats_.injected_stalls;
-    stats_.injected_stall_us += config_.aio_stall_us;
     return config_.aio_stall_us;
   }
 
@@ -266,7 +261,6 @@ class FaultInjector {
   DurableWriteFault OnDurableWrite() {
     DurableWriteFault fault;
     if (!config_.durable_faults_enabled()) return fault;
-    ++stats_.durable_writes_probed;
     if (config_.durable_torn_write_prob > 0.0 &&
         durable_rng_.UniformDouble() < config_.durable_torn_write_prob) {
       fault.torn_write = true;

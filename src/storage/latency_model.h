@@ -19,13 +19,6 @@ struct LatencyModel {
   SimTime disk_seq_read_us = 80;    // disk read that continues a run
   SimTime disk_random_read_us = 900;  // cold random disk read (seek + read)
   SimTime cpu_per_tuple_us = 2;     // executor CPU work per tuple visited
-  SimTime inference_overhead_us = 0;  // charged once per prefetched query
-  // Device time a hedged read charges on its target channel. A hedge has no
-  // run state on the target, so it is a cold random read by construction;
-  // 0 = use disk_random_read_us. The hedging layer additionally floors this
-  // at the target channel's EWMA service time, so hedging toward a channel
-  // that is itself degraded is never modeled as cheap.
-  SimTime hedge_read_us = 0;
 };
 
 // Where a page read was ultimately served from.

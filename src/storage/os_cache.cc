@@ -104,9 +104,7 @@ Result<OsReadResult> OsPageCache::Read(PageId page, bool hedge_eligible) {
           // channel isolation means issuing a hedge toward channel j must
           // never perturb channel j's seeded fault stream or readahead
           // detection.
-          const SimTime base = latency_.hedge_read_us > 0
-                                   ? latency_.hedge_read_us
-                                   : latency_.disk_random_read_us;
+          const SimTime base = latency_.disk_random_read_us;
           const double target_ewma = health_->Ewma(target);
           const SimTime hedge_service =
               target_ewma > static_cast<double>(base)

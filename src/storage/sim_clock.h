@@ -1,5 +1,5 @@
-// Discrete virtual clock. All query timing in this repository is measured in
-// simulated microseconds, never wall-clock time, so every benchmark table is
+// Virtual time. All query timing in this repository is measured in simulated
+// microseconds, never wall-clock time, so every benchmark table is
 // deterministic and machine-independent.
 #ifndef PYTHIA_STORAGE_SIM_CLOCK_H_
 #define PYTHIA_STORAGE_SIM_CLOCK_H_
@@ -9,21 +9,6 @@
 namespace pythia {
 
 using SimTime = uint64_t;  // microseconds of virtual time
-
-class SimClock {
- public:
-  SimTime now() const { return now_; }
-  void Advance(SimTime delta) { now_ += delta; }
-  // Moves the clock forward to `t` if it is in the future (waiting on an
-  // in-flight prefetch). Never moves backwards.
-  void AdvanceTo(SimTime t) {
-    if (t > now_) now_ = t;
-  }
-  void Reset() { now_ = 0; }
-
- private:
-  SimTime now_ = 0;
-};
 
 }  // namespace pythia
 

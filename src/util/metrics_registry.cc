@@ -1,25 +1,6 @@
 #include "util/metrics_registry.h"
 
-#include <bit>
-
 namespace pythia {
-
-void Histogram::Record(uint64_t sample) {
-  const size_t b = static_cast<size_t>(std::bit_width(sample));
-  buckets_[b].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(sample, std::memory_order_relaxed);
-  uint64_t prev = max_.load(std::memory_order_relaxed);
-  while (prev < sample &&
-         !max_.compare_exchange_weak(prev, sample,
-                                     std::memory_order_relaxed)) {
-  }
-}
-
-double Histogram::Mean() const {
-  const uint64_t n = count();
-  return n == 0 ? 0.0 : static_cast<double>(sum()) / static_cast<double>(n);
-}
 
 double Log2BucketQuantile(const uint64_t* buckets, uint64_t n, double q,
                           double fallback) {
@@ -30,7 +11,7 @@ double Log2BucketQuantile(const uint64_t* buckets, uint64_t n, double q,
   // cumulative count covers it and interpolate linearly inside the bucket.
   const double rank = q * static_cast<double>(n - 1) + 1.0;
   uint64_t seen = 0;
-  for (size_t b = 0; b < Histogram::kBuckets; ++b) {
+  for (size_t b = 0; b < kLog2Buckets; ++b) {
     const uint64_t in_bucket = buckets[b];
     if (in_bucket == 0) continue;
     if (static_cast<double>(seen + in_bucket) < rank) {
@@ -46,72 +27,15 @@ double Log2BucketQuantile(const uint64_t* buckets, uint64_t n, double q,
   return fallback;
 }
 
-double Histogram::Quantile(double q) const {
-  const uint64_t n = count();
-  uint64_t counts[kBuckets] = {};
-  for (size_t b = 0; b < kBuckets; ++b) counts[b] = bucket(b);
-  return Log2BucketQuantile(counts, n, q, static_cast<double>(max()));
-}
-
-void Histogram::Reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
-  max_.store(0, std::memory_order_relaxed);
-}
-
 Counter& MetricsRegistry::counter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   return counters_[name];
 }
 
-Gauge& MetricsRegistry::gauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return gauges_[name];
-}
-
-Histogram& MetricsRegistry::histogram(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return histograms_[name];
-}
-
-MetricsSnapshot MetricsRegistry::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  MetricsSnapshot snap;
-  snap.counters.reserve(counters_.size());
-  for (const auto& [name, c] : counters_) {
-    snap.counters.emplace_back(name, c.value());
-  }
-  snap.gauges.reserve(gauges_.size());
-  for (const auto& [name, g] : gauges_) {
-    snap.gauges.emplace_back(name, g.value());
-  }
-  snap.histograms.reserve(histograms_.size());
-  for (const auto& [name, h] : histograms_) {
-    MetricsSnapshot::HistogramRow row;
-    row.name = name;
-    row.count = h.count();
-    row.sum = h.sum();
-    row.max = h.max();
-    row.mean = h.Mean();
-    row.p50 = h.Quantile(0.5);
-    row.p90 = h.Quantile(0.9);
-    row.p99 = h.Quantile(0.99);
-    snap.histograms.push_back(std::move(row));
-  }
-  return snap;
-}
-
-void MetricsRegistry::ResetAll() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, c] : counters_) c.Reset();
-  for (auto& [name, g] : gauges_) g.Reset();
-  for (auto& [name, h] : histograms_) h.Reset();
-}
-
 MetricsRegistry& MetricsRegistry::Global() {
-  // Never destroyed: ThreadPool::Global()'s lanes are never joined and keep
-  // handles into the registry, so tearing it down at exit would race them.
+  // Never destroyed: ThreadPool::Global()'s lanes are never joined and may
+  // still be running tasks that bump counters at exit, so tearing the
+  // registry down would race them.
   // The union keeps the registry in static storage and skips its destructor.
   static union Holder {
     Holder() : registry() {}

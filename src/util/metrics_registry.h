@@ -1,21 +1,14 @@
-// Central registry of named, thread-safe metrics.
+// Central registry of named, thread-safe counters.
 //
-// PR 2 fanned prediction and training out on the shared ThreadPool, which
-// made the old pattern — plain uint64_t fields in ad-hoc structs, mutated
-// wherever convenient — a data race (TSan flags the model save/load/retrain
-// counters in core/predictor.cc). This registry replaces those scattered
-// structs with one process-wide namespace of metrics behind atomic handles:
-//
-//  - Counter    monotonically increasing uint64 (relaxed atomics — counts
-//               must be exact, ordering does not matter);
-//  - Gauge      a settable int64 level (outstanding prefetches, cache fill);
-//  - Histogram  log2-bucketed latency/size distribution: 65 power-of-two
-//               buckets cover the full uint64 range, so recording is one
-//               bit-width computation plus one atomic increment, and the
-//               p50/p90/p99 estimates are bucket-interpolated.
+// Model saves, loads and retrains run on ThreadPool lanes, so the counts
+// they keep cannot be plain uint64_t fields mutated wherever convenient —
+// that is a data race (TSan flagged it in core/predictor.cc). The registry
+// is one process-wide namespace of `Counter`s: monotonically increasing
+// uint64 values behind relaxed atomics (counts must be exact, ordering does
+// not matter).
 //
 // Handles are created on first use and never invalidated (the registry
-// never removes a metric), so call sites may cache `Counter&` references
+// never removes a counter), so call sites may cache `Counter&` references
 // across calls — after the first lookup, incrementing is wait-free.
 // Naming convention: dotted lowercase paths, subsystem first
 // ("model.loads_ok", "io.channel.0.busy_us", "recovery.quarantines").
@@ -25,11 +18,11 @@
 #define PYTHIA_UTIL_METRICS_REGISTRY_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <mutex>
 #include <string>
-#include <vector>
 
 namespace pythia {
 
@@ -39,104 +32,38 @@ class Counter {
     value_.fetch_add(delta, std::memory_order_relaxed);
   }
   uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<uint64_t> value_{0};
 };
 
-class Gauge {
- public:
-  void Set(int64_t v) { value_.store(v, std::memory_order_relaxed); }
-  void Add(int64_t delta) {
-    value_.fetch_add(delta, std::memory_order_relaxed);
-  }
-  int64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<int64_t> value_{0};
-};
-
-// Log-scale histogram over uint64 samples. Bucket b holds samples whose
-// bit width is b, i.e. [2^(b-1), 2^b); bucket 0 holds the value 0. The
-// relative quantile error is bounded by the bucket ratio (2x), which is
-// plenty for "did the p99 move an order of magnitude" questions.
-class Histogram {
- public:
-  static constexpr size_t kBuckets = 65;
-
-  void Record(uint64_t sample);
-
-  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
-  uint64_t max() const { return max_.load(std::memory_order_relaxed); }
-  uint64_t bucket(size_t b) const {
-    return buckets_[b].load(std::memory_order_relaxed);
-  }
-
-  double Mean() const;
-  // Bucket-interpolated quantile estimate, q in [0, 1]. 0 when empty.
-  double Quantile(double q) const;
-
-  void Reset();
-
- private:
-  std::atomic<uint64_t> buckets_[kBuckets] = {};
-  std::atomic<uint64_t> count_{0};
-  std::atomic<uint64_t> sum_{0};
-  std::atomic<uint64_t> max_{0};
-};
+// Log2 bucket layout over uint64 samples: bucket b holds the samples whose
+// bit width is b, i.e. [2^(b-1), 2^b); bucket 0 holds the value 0. 65
+// buckets cover the whole uint64 range, and the relative quantile error is
+// bounded by the bucket ratio (2x). ChannelHealthTracker's windowed p99
+// (storage/channel_health.h) is kept in this layout.
+inline constexpr size_t kLog2Buckets = 65;
 
 // Bucket-interpolated quantile, q in [0, 1], of the `n` samples counted in
-// `buckets`, laid out as Histogram's kBuckets log2 buckets: the bucket that
-// holds the 1-based rank q(n-1)+1, interpolated linearly inside it. 0 when
-// n is 0; `fallback` when the buckets hold fewer samples than that rank.
+// the kLog2Buckets `buckets`: the bucket that holds the 1-based rank
+// q(n-1)+1, interpolated linearly inside it. 0 when n is 0; `fallback` when
+// the buckets hold fewer samples than that rank.
 double Log2BucketQuantile(const uint64_t* buckets, uint64_t n, double q,
                           double fallback);
-
-// Point-in-time view of every registered metric, for reporting and JSON
-// export. Field order is the registry's map order (lexicographic by name),
-// so two snapshots of identical state serialize identically.
-struct MetricsSnapshot {
-  struct HistogramRow {
-    std::string name;
-    uint64_t count = 0;
-    uint64_t sum = 0;
-    uint64_t max = 0;
-    double mean = 0.0;
-    double p50 = 0.0;
-    double p90 = 0.0;
-    double p99 = 0.0;
-  };
-  std::vector<std::pair<std::string, uint64_t>> counters;
-  std::vector<std::pair<std::string, int64_t>> gauges;
-  std::vector<HistogramRow> histograms;
-};
 
 class MetricsRegistry {
  public:
   // Create-or-get. The returned reference is stable for the process
-  // lifetime (node-based map, metrics are never removed).
+  // lifetime (node-based map, counters are never removed).
   Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
-  Histogram& histogram(const std::string& name);
-
-  MetricsSnapshot Snapshot() const;
-
-  // Zeroes every metric (handles stay valid). Benches use this between
-  // experiment arms; production code never calls it.
-  void ResetAll();
 
   // Process-wide registry. Tests and benches share it, which is the point:
-  // one namespace to dump, one place to look.
+  // one namespace, one place to look.
   static MetricsRegistry& Global();
 
  private:
-  mutable std::mutex mu_;  // guards map shape only, not metric values
+  std::mutex mu_;  // guards map shape only, not counter values
   std::map<std::string, Counter> counters_;
-  std::map<std::string, Gauge> gauges_;
-  std::map<std::string, Histogram> histograms_;
 };
 
 // Process-wide counters for model-file integrity (the .pywm cache in

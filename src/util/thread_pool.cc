@@ -2,12 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
 #include <memory>
-#include <string>
-
-#include "util/metrics_registry.h"
 
 namespace pythia {
 
@@ -18,11 +14,10 @@ namespace {
 thread_local bool tls_in_worker = false;
 }  // namespace
 
-ThreadPool::ThreadPool(size_t num_workers)
-    : queue_depth_(MetricsRegistry::Global().gauge("threadpool.queue_depth")) {
+ThreadPool::ThreadPool(size_t num_workers) {
   workers_.reserve(num_workers);
   for (size_t i = 0; i < num_workers; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -35,14 +30,8 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : workers_) t.join();
 }
 
-void ThreadPool::WorkerLoop(size_t lane) {
+void ThreadPool::WorkerLoop() {
   tls_in_worker = true;
-  // Registry handles are stable for the process lifetime, so resolve them
-  // once per worker instead of once per task (the map lookup takes a lock).
-  MetricsRegistry& registry = MetricsRegistry::Global();
-  Counter& tasks_executed = registry.counter("threadpool.tasks_executed");
-  Histogram& busy_us =
-      registry.histogram("threadpool.lane_busy_us." + std::to_string(lane));
   for (;;) {
     std::function<void()> task;
     {
@@ -51,26 +40,16 @@ void ThreadPool::WorkerLoop(size_t lane) {
       if (queue_.empty()) return;  // stop_ set and nothing left to drain
       task = std::move(queue_.front());
       queue_.pop_front();
-      queue_depth_.Set(static_cast<int64_t>(queue_.size()));
     }
-    const auto start = std::chrono::steady_clock::now();
     task();
-    busy_us.Record(static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count()));
-    tasks_executed.Increment();
   }
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
-  size_t depth;
   {
     std::lock_guard<std::mutex> lock(mu_);
     queue_.push_back(std::move(task));
-    depth = queue_.size();
   }
-  queue_depth_.Set(static_cast<int64_t>(depth));
   cv_.notify_one();
 }
 

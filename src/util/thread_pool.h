@@ -28,8 +28,6 @@
 
 namespace pythia {
 
-class Gauge;  // util/metrics_registry.h
-
 class ThreadPool {
  public:
   // Starts `num_workers` parked worker threads (0 is valid: every
@@ -85,26 +83,12 @@ class ThreadPool {
   // Process-wide shared pool. Sized to hardware_concurrency() - 1 workers
   // (the caller thread is the remaining lane); the PYTHIA_THREADS
   // environment variable overrides the total lane count when set.
-  //
-  // Health metrics (util/metrics_registry.h): every pool exports
-  //  - "threadpool.queue_depth"        gauge, pending tasks after each
-  //                                    push/pop;
-  //  - "threadpool.tasks_executed"     counter, tasks a worker completed
-  //                                    (inline sequential fallbacks are not
-  //                                    worker executions and don't count);
-  //  - "threadpool.lane_busy_us.<i>"   per-lane histogram of wall-clock
-  //                                    microseconds spent inside each task,
-  //                                    for spotting lane imbalance.
-  // Wall-clock samples never feed result JSON — benches that self-check
-  // same-seed determinism must not serialize these histograms.
   static ThreadPool& Global();
 
  private:
-  void WorkerLoop(size_t lane);
+  void WorkerLoop();
   void Submit(std::function<void()> task);
 
-  // "threadpool.queue_depth", set on every push and pop.
-  Gauge& queue_depth_;
   std::mutex mu_;
   std::condition_variable cv_;
   std::deque<std::function<void()>> queue_;

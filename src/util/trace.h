@@ -1,4 +1,4 @@
-// Structured trace events on the SimClock virtual timeline.
+// Structured trace events on the virtual (SimTime) timeline.
 //
 // End-of-run counters say *how many* prefetches were useful; they cannot
 // say *when* a page arrived relative to its consumption, which is the whole
@@ -12,7 +12,7 @@
 // Cost model:
 //  - disabled (the default), the macros compile to one inlined relaxed
 //    load and a predictable branch — no allocation, no lock, no argument
-//    evaluation. Building with -DPYTHIA_TRACING=0 removes even that.
+//    evaluation.
 //  - enabled, each event is one small struct appended to a pre-reserved
 //    buffer under a spinlock. All replay-path record sites run on the
 //    replaying thread (ThreadPool lanes never record), so the lock is
@@ -32,12 +32,6 @@
 #include <vector>
 
 #include "storage/sim_clock.h"
-
-// Compile-time master switch: -DPYTHIA_TRACING=0 turns every PYTHIA_TRACE_*
-// macro into a no-op with zero argument evaluation.
-#ifndef PYTHIA_TRACING
-#define PYTHIA_TRACING 1
-#endif
 
 namespace pythia {
 
@@ -63,7 +57,6 @@ struct QueryTimeline {
   uint32_t query = 0;
   SimTime begin_us = 0;
   SimTime end_us = 0;
-  uint64_t demand_fetches = 0;
   uint64_t demand_misses = 0;        // demand reads that reached the device
   uint64_t prefetch_issued = 0;
   uint64_t prefetch_consumed = 0;
@@ -147,12 +140,9 @@ class Tracer {
 
 }  // namespace pythia
 
-// Record macros: zero argument evaluation unless tracing is enabled at both
-// compile time and run time. `ts`/`start`/`end` are virtual times; the _CTX
-// variants stamp the tracer's context time instead (for call sites with no
-// clock parameter of their own).
-#if PYTHIA_TRACING
-
+// Record macros: zero argument evaluation unless tracing is enabled.
+// `ts`/`start`/`end` are virtual times; the _CTX variants stamp the tracer's
+// context time instead (for call sites with no clock parameter of their own).
 #define PYTHIA_TRACE_INSTANT(category, name, ts, ...)                 \
   do {                                                                \
     ::pythia::Tracer& _tr = ::pythia::Tracer::Global();               \
@@ -187,25 +177,5 @@ class Tracer {
     ::pythia::Tracer& _tr = ::pythia::Tracer::Global();               \
     if (_tr.enabled()) _tr.SetTime(now);                              \
   } while (0)
-
-#else  // !PYTHIA_TRACING
-
-#define PYTHIA_TRACE_INSTANT(category, name, ts, ...) \
-  do {                                                \
-  } while (0)
-#define PYTHIA_TRACE_INSTANT_CTX(category, name, ...) \
-  do {                                                \
-  } while (0)
-#define PYTHIA_TRACE_SPAN(category, name, start, end, ...) \
-  do {                                                     \
-  } while (0)
-#define PYTHIA_TRACE_IO_SPAN(category, name, start, end, ...) \
-  do {                                                        \
-  } while (0)
-#define PYTHIA_TRACE_SET_TIME(now) \
-  do {                             \
-  } while (0)
-
-#endif  // PYTHIA_TRACING
 
 #endif  // PYTHIA_UTIL_TRACE_H_

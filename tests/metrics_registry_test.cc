@@ -1,13 +1,14 @@
 // MetricsRegistry tests. The concurrency tests are the TSan proof for the
 // counter-race fix: many ThreadPool lanes hammering the same named counter
-// and histogram must produce exact totals and no reported races (run under
+// must produce exact totals and no reported races (run under
 // scripts/run_sanitized_tests.sh thread). The old GlobalModelIntegrity()
-// singleton of plain uint64 fields failed exactly this.
+// singleton of plain uint64 fields failed exactly this. Log2BucketQuantile
+// is the quantile walk behind ChannelHealthTracker's windowed p99.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "util/metrics_registry.h"
 #include "util/thread_pool.h"
@@ -15,49 +16,42 @@
 namespace pythia {
 namespace {
 
-TEST(CounterTest, IncrementAndReset) {
+TEST(CounterTest, IncrementAccumulates) {
   Counter c;
   EXPECT_EQ(c.value(), 0u);
   c.Increment();
   c.Increment(41);
   EXPECT_EQ(c.value(), 42u);
-  c.Reset();
-  EXPECT_EQ(c.value(), 0u);
 }
 
-TEST(GaugeTest, SetAndAdd) {
-  Gauge g;
-  g.Set(10);
-  g.Add(-3);
-  EXPECT_EQ(g.value(), 7);
-  g.Add(-10);
-  EXPECT_EQ(g.value(), -3);  // gauges are levels, they may go negative
+// Samples counted in the layout Log2BucketQuantile reads: bucket b holds the
+// samples of bit width b (bucket 0 the value 0, bucket b >= 1 [2^(b-1), 2^b)),
+// the way ChannelHealthTracker fills its window.
+struct Log2Buckets {
+  uint64_t counts[kLog2Buckets] = {};
+  uint64_t n = 0;
+
+  void Add(uint64_t sample, uint64_t times = 1) {
+    counts[std::bit_width(sample)] += times;
+    n += times;
+  }
+  double Quantile(double q, double fallback = -1.0) const {
+    return Log2BucketQuantile(counts, n, q, fallback);
+  }
+};
+
+TEST(Log2BucketQuantileTest, EmptyIsZero) {
+  const Log2Buckets h;
+  EXPECT_DOUBLE_EQ(h.Quantile(0.5), 0.0);  // not the fallback
+  EXPECT_DOUBLE_EQ(h.Quantile(0.99), 0.0);
 }
 
-TEST(HistogramTest, BucketsAndStats) {
-  Histogram h;
-  EXPECT_DOUBLE_EQ(h.Quantile(0.5), 0.0);  // empty
-  h.Record(0);
-  h.Record(1);
-  h.Record(2);
-  h.Record(3);
-  h.Record(1024);
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_EQ(h.sum(), 1030u);
-  EXPECT_EQ(h.max(), 1024u);
-  EXPECT_DOUBLE_EQ(h.Mean(), 206.0);
-  EXPECT_EQ(h.bucket(0), 1u);   // the value 0
-  EXPECT_EQ(h.bucket(1), 1u);   // [1, 2)
-  EXPECT_EQ(h.bucket(2), 2u);   // [2, 4)
-  EXPECT_EQ(h.bucket(11), 1u);  // [1024, 2048)
-}
-
-TEST(HistogramTest, QuantileIsBucketAccurate) {
+TEST(Log2BucketQuantileTest, QuantileIsBucketAccurate) {
   // 100 samples at ~10us, 1 at ~10000us: p50 lands in the 10us bucket
-  // [8, 16), p99+ reaches the outlier's bucket [8192, 16384).
-  Histogram h;
-  for (int i = 0; i < 100; ++i) h.Record(10);
-  h.Record(10000);
+  // [8, 16), p99.9 reaches the outlier's bucket [8192, 16384).
+  Log2Buckets h;
+  h.Add(10, 100);
+  h.Add(10000);
   const double p50 = h.Quantile(0.5);
   EXPECT_GE(p50, 8.0);
   EXPECT_LT(p50, 16.0);
@@ -66,11 +60,37 @@ TEST(HistogramTest, QuantileIsBucketAccurate) {
   EXPECT_LT(p999, 16384.0);
 }
 
-TEST(HistogramTest, QuantileEndpoints) {
-  Histogram h;
-  h.Record(5);
+TEST(Log2BucketQuantileTest, QuantileEndpoints) {
+  Log2Buckets h;
+  h.Add(5);
   EXPECT_GE(h.Quantile(0.0), 4.0);
   EXPECT_LT(h.Quantile(1.0), 8.0);
+  // q is clamped to [0, 1].
+  EXPECT_DOUBLE_EQ(h.Quantile(-1.0), h.Quantile(0.0));
+  EXPECT_DOUBLE_EQ(h.Quantile(2.0), h.Quantile(1.0));
+}
+
+TEST(Log2BucketQuantileTest, InterpolatesLinearlyInsideTheBucket) {
+  // Four samples in [8, 16): rank r of 4 sits r/4 of the way from 8 to 15.
+  Log2Buckets h;
+  h.Add(9, 4);
+  EXPECT_DOUBLE_EQ(h.Quantile(0.0), 8.0 + 7.0 * 0.25);
+  EXPECT_DOUBLE_EQ(h.Quantile(1.0), 15.0);
+  // The value 0 has a bucket of its own, which interpolates to 0.
+  Log2Buckets zeros;
+  zeros.Add(0, 3);
+  EXPECT_DOUBLE_EQ(zeros.Quantile(0.5), 0.0);
+}
+
+TEST(Log2BucketQuantileTest, FallbackWhenBucketsHoldFewerSamplesThanRank) {
+  // n counts 4 samples but the buckets hold only 2: a rank past the second
+  // sample is not in any bucket and the caller's fallback comes back.
+  Log2Buckets h;
+  h.Add(100, 2);
+  h.n = 4;
+  EXPECT_DOUBLE_EQ(h.Quantile(0.99, /*fallback=*/123.0), 123.0);
+  // A rank the buckets do cover still interpolates.
+  EXPECT_DOUBLE_EQ(h.Quantile(0.0, /*fallback=*/123.0), 64.0 + 63.0 * 0.5);
 }
 
 TEST(MetricsRegistryTest, HandlesAreStableAndShared) {
@@ -81,36 +101,6 @@ TEST(MetricsRegistryTest, HandlesAreStableAndShared) {
   a.Increment();
   EXPECT_EQ(reg.counter("x").value(), 1u);
   EXPECT_NE(&reg.counter("y"), &a);
-}
-
-TEST(MetricsRegistryTest, SnapshotIsLexicographic) {
-  MetricsRegistry reg;
-  reg.counter("b.second").Increment(2);
-  reg.counter("a.first").Increment(1);
-  reg.gauge("z.level").Set(-5);
-  reg.histogram("lat").Record(100);
-  const MetricsSnapshot snap = reg.Snapshot();
-  ASSERT_EQ(snap.counters.size(), 2u);
-  EXPECT_EQ(snap.counters[0].first, "a.first");
-  EXPECT_EQ(snap.counters[0].second, 1u);
-  EXPECT_EQ(snap.counters[1].first, "b.second");
-  ASSERT_EQ(snap.gauges.size(), 1u);
-  EXPECT_EQ(snap.gauges[0].second, -5);
-  ASSERT_EQ(snap.histograms.size(), 1u);
-  EXPECT_EQ(snap.histograms[0].count, 1u);
-  EXPECT_EQ(snap.histograms[0].sum, 100u);
-}
-
-TEST(MetricsRegistryTest, ResetAllZeroesKeepsHandles) {
-  MetricsRegistry reg;
-  Counter& c = reg.counter("c");
-  c.Increment(7);
-  reg.histogram("h").Record(3);
-  reg.ResetAll();
-  EXPECT_EQ(c.value(), 0u);  // the old handle still points at the metric
-  EXPECT_EQ(reg.histogram("h").count(), 0u);
-  c.Increment();
-  EXPECT_EQ(reg.counter("c").value(), 1u);
 }
 
 // The race regression: concurrent increments through the registry from
@@ -126,21 +116,6 @@ TEST(MetricsRegistryTest, ConcurrentIncrementsAreExact) {
     for (uint64_t i = 0; i < kPerTask; ++i) c.Increment();
   });
   EXPECT_EQ(reg.counter("contended").value(), kTasks * kPerTask);
-}
-
-TEST(MetricsRegistryTest, ConcurrentHistogramRecordsAreExact) {
-  MetricsRegistry reg;
-  constexpr size_t kTasks = 32;
-  constexpr uint64_t kPerTask = 2000;
-  ThreadPool::Global().ParallelFor(0, kTasks, [&](size_t t) {
-    Histogram& h = reg.histogram("lat");
-    for (uint64_t i = 0; i < kPerTask; ++i) h.Record(t * 100 + i % 7);
-  });
-  const Histogram& h = reg.histogram("lat");
-  EXPECT_EQ(h.count(), kTasks * kPerTask);
-  uint64_t bucket_total = 0;
-  for (size_t b = 0; b < Histogram::kBuckets; ++b) bucket_total += h.bucket(b);
-  EXPECT_EQ(bucket_total, h.count());
 }
 
 // Mixed create-or-get under contention: lanes race to create distinct and

@@ -8,7 +8,6 @@
 
 #include "core/governor.h"
 #include "core/replay.h"
-#include "util/metrics_registry.h"
 #include "util/rng.h"
 
 namespace pythia {
@@ -214,35 +213,6 @@ TEST_F(GovernorTest, LadderDegradesImmediatelyRecoversWithHysteresis) {
   EXPECT_FALSE(os_cache_.readahead_suppressed());
   EXPECT_EQ(governor.Evaluate(0), DegradationRung::kCachedOnly);
   EXPECT_EQ(governor.Evaluate(0), DegradationRung::kFullNeural);
-  governor.UnregisterSession(id);
-}
-
-TEST_F(GovernorTest, RungDwellHistogramRecordsTimeOnOutgoingRung) {
-  // Every rung transition records how long the governor sat on the rung it
-  // is leaving, into a per-rung histogram (observability satellite: the
-  // dwell distribution shows whether the ladder flaps or settles).
-  GovernorOptions g;
-  g.max_pinned_pages = 20;
-  g.max_outstanding_aio = 1000;
-  PrefetchGovernor governor(g, &pool_, &io_, &os_cache_);
-  const uint64_t id = governor.RegisterSession(nullptr, 0);
-
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  Histogram& full_dwell = reg.histogram("overload.rung_dwell.full-neural");
-  Histogram& cached_dwell = reg.histogram("overload.rung_dwell.cached-only");
-  const uint64_t full_before = full_dwell.count();
-  const uint64_t cached_before = cached_dwell.count();
-
-  for (int i = 0; i < 13; ++i) ASSERT_TRUE(governor.TryAcquirePin(id, 0));
-  // Degrade at t=1000: 1000 us spent on full-neural.
-  EXPECT_EQ(governor.Evaluate(1000), DegradationRung::kCachedOnly);
-  EXPECT_EQ(full_dwell.count(), full_before + 1);
-  EXPECT_GE(full_dwell.max(), 1000u);
-  // Recover at t=3500: 2500 us spent on cached-only.
-  for (int i = 0; i < 13; ++i) governor.ReleasePin(id);
-  EXPECT_EQ(governor.Evaluate(3500), DegradationRung::kFullNeural);
-  EXPECT_EQ(cached_dwell.count(), cached_before + 1);
-  EXPECT_GE(cached_dwell.max(), 2500u);
   governor.UnregisterSession(id);
 }
 

@@ -6,7 +6,6 @@
 #include "storage/latency_model.h"
 #include "storage/os_cache.h"
 #include "storage/page_id.h"
-#include "storage/sim_clock.h"
 
 namespace pythia {
 namespace {
@@ -25,18 +24,6 @@ TEST(PageIdTest, PackUnpackRoundTrip) {
 TEST(PageIdTest, HashDistinguishesObjectAndPage) {
   const PageIdHash h;
   EXPECT_NE(h(PageId{1, 2}), h(PageId{2, 1}));
-}
-
-TEST(SimClockTest, AdvanceAndAdvanceTo) {
-  SimClock clock;
-  clock.Advance(10);
-  EXPECT_EQ(clock.now(), 10u);
-  clock.AdvanceTo(5);  // never backwards
-  EXPECT_EQ(clock.now(), 10u);
-  clock.AdvanceTo(25);
-  EXPECT_EQ(clock.now(), 25u);
-  clock.Reset();
-  EXPECT_EQ(clock.now(), 0u);
 }
 
 class OsCacheTest : public ::testing::Test {
