@@ -71,15 +71,17 @@ if [[ "${MODE}" == thread ]]; then
   # long enough for TSan to interleave them meaningfully.
   "${BUILD_DIR}/tests/batch_predictor_test" --gtest_repeat=5
 
-  # Sharded-pool soak: real threads hammering the lock-striped BufferPool
-  # (ConcurrentFetchesKeepInvariants) and the full multi-threaded fleet
-  # replay arm of bench_shard — shard mutexes, striped OS-cache channel
-  # locks, the IoScheduler bookkeeping lock and the atomic readahead kill
-  # switch all under TSan. Repeats keep the interleavings varied.
+  # Fleet soak: real threads hammering the one-mutex BufferPool
+  # (ConcurrentFetchesKeepInvariants) and the multi-threaded fleet replay
+  # (ParallelFleetCompletesEveryThread) — the pool mutex, the striped
+  # OS-cache channel locks, the IoScheduler bookkeeping lock and the atomic
+  # readahead kill switch all under TSan. Repeats keep the interleavings
+  # varied.
   "${BUILD_DIR}/tests/bufmgr_test" \
-      --gtest_filter='ShardedPoolTest.*' --gtest_repeat=5
-  cmake --build "${BUILD_DIR}" -j "$(nproc)" --target bench_shard
-  (cd "${SOAK_DIR}" && "${BIN}/bench/bench_shard" --smoke)
+      --gtest_filter='BufferPoolInvariantTest.*' --gtest_repeat=5
+  "${BUILD_DIR}/tests/replay_test" \
+      --gtest_filter='StripedReplayTest.ParallelFleetCompletesEveryThread' \
+      --gtest_repeat=5
 
   # Hedged-read soak: the gray-failure layer under genuine concurrency — the
   # ChannelHealthTracker's lock-free summary atomics, the global hedge-budget

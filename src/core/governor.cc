@@ -139,9 +139,8 @@ size_t PrefetchGovernor::outstanding_aio(SimTime now) {
 double PrefetchGovernor::PoolPressure(SimTime now) const {
   const double budget = static_cast<double>(total_pins_) /
                         static_cast<double>(max_pinned_);
-  // Unevictable fraction of TOTAL capacity — the pool aggregates the count
-  // across every shard in shard order, so the signal is whole-pool pressure
-  // even when one shard is saturated and the others are idle.
+  // Unevictable fraction of the pool's capacity: pinned frames plus
+  // prefetches still in flight at `now`, whoever holds them.
   const double pool = pool_->UnevictablePressure(now);
   return std::min(1.0, std::max(budget, pool));
 }

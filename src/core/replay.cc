@@ -1,7 +1,6 @@
 #include "core/replay.h"
 
 #include <algorithm>
-#include <chrono>
 #include <deque>
 #include <functional>
 #include <limits>
@@ -35,8 +34,6 @@ SimEnvironment::SimEnvironment(const SimOptions& options)
   pool_options.capacity_pages = options.buffer_pages;
   pool_options.policy = options.policy;
   pool_options.retry = options.retry;
-  pool_options.num_shards = options.buffer_shards;
-  pool_options.profile_locks = options.profile_pool_locks;
   pool_ = std::make_unique<BufferPool>(pool_options, os_cache_.get(),
                                        options.latency);
   io_ = std::make_unique<IoScheduler>(options.io_channels);
@@ -377,7 +374,6 @@ ParallelReplayResult ReplayParallelFleet(
   ParallelReplayResult result;
   result.threads.resize(n);
   const BufferPoolStats stats_before = env->pool().stats();
-  const BufferPoolLockStats lock_before = env->pool().lock_stats();
 
   // One fleet thread is one batch of one. The tracer's SetTime/SetTrack are
   // single-threaded, which is why tracing must be off around this call
@@ -392,20 +388,13 @@ ParallelReplayResult ReplayParallelFleet(
     out.pool_stats = BufferPoolStats{};
   };
 
-  const auto wall_start = std::chrono::steady_clock::now();
   std::vector<std::thread> workers;
   workers.reserve(n);
   for (size_t i = 0; i < n; ++i) workers.emplace_back(run_thread, i);
   // Joined in thread index order; results were written into index-addressed
   // slots, so the merge below is independent of the real interleaving.
   for (std::thread& t : workers) t.join();
-  result.wall_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - wall_start)
-          .count();
-
   result.pool_stats = SubtractStats(env->pool().stats(), stats_before);
-  result.lock_stats = SubtractStats(env->pool().lock_stats(), lock_before);
   return result;
 }
 

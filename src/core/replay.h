@@ -46,18 +46,13 @@ struct SimOptions {
   size_t os_cache_pages = 4096;
   uint32_t os_readahead_pages = 32;
   size_t io_channels = 8;
-  // Lock-striped buffer-pool shards (PageId-hash keyed) and OS-cache/disk
-  // channels (object-id keyed). 1 each (the defaults) is the historical
-  // single-lock stack, bit-identical on every seed bench. Every channel
-  // gets its own fault-injector stream (channel c seeded
+  // Lock-striped OS-cache/disk channels, keyed by object id. 1 (the
+  // default) is the single-lock cache. Every channel gets its own
+  // fault-injector stream (channel c seeded
   // faults.seed ^ (0x9e3779b97f4a7c15 * c), so channel 0 keeps the base
   // seed) and its own SimulatedDisk (same content seed, so images are
   // identical), so multi-threaded replays never race on a shared RNG.
-  size_t buffer_shards = 1;
   size_t storage_channels = 1;
-  // Wall-clock lock wait/hold instrumentation on the pool shards (see
-  // BufferPool::Options::profile_locks). Virtual-time results unaffected.
-  bool profile_pool_locks = false;
   // Fault injection for the storage stack; disabled by default. Foreground
   // retry behaviour under injected errors is governed by `retry`.
   FaultConfig faults;
@@ -228,31 +223,26 @@ ConcurrentResult ReplayConcurrent(const std::vector<ConcurrentQuery>& queries,
 // True multi-threaded fleet replay.
 //
 // ReplayConcurrent above interleaves queries on ONE OS thread in virtual
-// time; it measures what the queries experience, not whether the storage
-// stack scales. This arm runs one real std::thread per spec, each a batch
-// of one on ReplayConcurrent, all hammering the shared sharded pool /
-// striped cache / scheduler concurrently — the workload `bench_shard` uses
-// to show lock striping removed the single-mutex ceiling. Determinism
-// story: thread interleaving is real and uncontrolled, so per-thread
-// latency totals vary run to run; what IS deterministic (and asserted by
-// tests) is the merge structure — threads are joined and their results
-// recorded in thread index order, pool stats reduce over shards in shard
-// order — plus the interleaving-independent invariants: every access of
-// every trace completes exactly once, and no pins are leaked. Each spec's
-// governor is cleared (PrefetchGovernor is single-threaded control logic),
-// and tracing should be disabled around this call (per-thread trace
-// context is not supported).
+// time; it measures what the queries experience. This arm runs one real
+// std::thread per spec, each a batch of one on ReplayConcurrent, all
+// sharing the one-mutex pool, the striped OS cache and the I/O scheduler
+// concurrently — the path ThreadSanitizer soaks for data races on the
+// pool mutex, the channel locks and the scheduler lock. Determinism story:
+// thread interleaving is real and uncontrolled, so per-thread latency
+// totals vary run to run; what IS deterministic (and asserted by tests) is
+// the merge structure — threads are joined and their results recorded in
+// thread index order — plus the interleaving-independent invariants: every
+// access of every trace completes exactly once, and no pins are leaked.
+// Each spec's governor is cleared (PrefetchGovernor is single-threaded
+// control logic), and tracing should be disabled around this call
+// (per-thread trace context is not supported).
 
 struct ParallelReplayResult {
-  // Real wall-clock time of the threaded region (spawn of the first thread
-  // to join of the last), the throughput numerator for bench_shard.
-  double wall_ms = 0.0;
   // One per spec, in thread index order. pool_stats stays zero, as in any
   // batch of two or more: the pool is shared, so the per-thread deltas are
   // not separable; the delta over the whole run is pool_stats below.
   std::vector<QueryRunMetrics> threads;
-  BufferPoolStats pool_stats;      // delta over the run
-  BufferPoolLockStats lock_stats;  // delta over the run
+  BufferPoolStats pool_stats;  // delta over the run
 };
 
 ParallelReplayResult ReplayParallelFleet(

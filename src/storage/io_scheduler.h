@@ -83,13 +83,6 @@ class IoScheduler {
   // Not owned; may be nullptr (no stalls).
   void set_fault_injector(FaultInjector* injector) { injector_ = injector; }
 
-  // Earliest time a new request issued at `now` could start.
-  SimTime EarliestStart(SimTime now) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    const SimTime best = heap_.front().first;
-    return best > now ? best : now;
-  }
-
   // Measured queue depth at `now`: total virtual time of work already
   // committed to the channels but not yet completed, summed across
   // channels. This is the overload governor's AIO-pressure signal — a

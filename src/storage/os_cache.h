@@ -7,11 +7,12 @@
 // prefetches in file-offset order, so runs of adjacent predicted pages cost
 // one seek plus cheap follow-on reads. This class reproduces both effects.
 //
-// Channel striping (the fleet-scale refactor): the LRU, page map, readahead
-// run state, fault injector, device, and counters are partitioned into
-// `num_channels` independent channels, each behind its own mutex, so
-// concurrent reads against different objects never serialize on one cache
-// lock. Channels are keyed by OBJECT id hash, deliberately not PageId hash:
+// Channel striping: the LRU, page map, readahead run state, fault injector,
+// device, and counters are partitioned into `num_channels` independent
+// channels, each behind its own mutex, so concurrent reads against
+// different objects never serialize on one cache lock, and each channel is
+// one storage channel for fault injection, health scoring and hedging.
+// Channels are keyed by OBJECT id hash, deliberately not PageId hash:
 // sequential-pattern detection tracks the last page read *per object*, and
 // scattering adjacent pages of one file across channels would make every
 // scan look random and destroy the readahead latency economics. All of one

@@ -185,6 +185,7 @@ TEST_F(BufferPoolTest, MissThenHit) {
   const FetchResult hit = *pool_.FetchPage(PageId{1, 0}, 1000);
   EXPECT_EQ(hit.source, AccessSource::kBufferHit);
   EXPECT_EQ(hit.latency_us, latency_.buffer_hit_us);
+  EXPECT_EQ(pool_.stats().fetches, 2u);
   EXPECT_EQ(pool_.stats().buffer_hits, 1u);
   EXPECT_EQ(pool_.stats().disk_random_reads, 1u);
 }
@@ -312,8 +313,12 @@ TEST_F(BufferPoolTest, InFlightUnpinnedFrameNotEvictedBeforeArrival) {
 
 TEST_F(BufferPoolTest, ResetEmptiesPool) {
   pool_.FetchPage(PageId{1, 0}, 0);
+  pool_.Pin(PageId{1, 0});
+  EXPECT_EQ(pool_.pinned_frames(), 1u);
   pool_.Reset();
   EXPECT_EQ(pool_.used_frames(), 0u);
+  EXPECT_EQ(pool_.pinned_frames(), 0u);
+  EXPECT_DOUBLE_EQ(pool_.UnevictablePressure(0), 0.0);
   EXPECT_FALSE(pool_.Contains(PageId{1, 0}));
   // Pool usable after reset.
   pool_.FetchPage(PageId{1, 1}, 0);
@@ -392,94 +397,10 @@ TEST_F(BufferPoolTest, OsCacheServesSecondMissCheaply) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded pool.
+// Pool invariants under random and concurrent operation.
 // ---------------------------------------------------------------------------
 
-TEST(ShardedPoolTest, CapacitySplitsRoundRobinAcrossShards) {
-  LatencyModel latency;
-  OsPageCache os(OsPageCache::Options{.capacity_pages = 256,
-                                      .readahead_pages = 0},
-                 latency);
-  BufferPool pool(BufferPool::Options{.capacity_pages = 10, .num_shards = 4},
-                  &os, latency);
-  EXPECT_EQ(pool.num_shards(), 4u);
-  EXPECT_EQ(pool.shard_capacity(0), 3u);
-  EXPECT_EQ(pool.shard_capacity(1), 3u);
-  EXPECT_EQ(pool.shard_capacity(2), 2u);
-  EXPECT_EQ(pool.shard_capacity(3), 2u);
-  EXPECT_EQ(pool.capacity(), 10u);
-}
-
-TEST(ShardedPoolTest, ShardOfIsAPureFunctionOfThePage) {
-  LatencyModel latency;
-  OsPageCache os(OsPageCache::Options{.capacity_pages = 64,
-                                      .readahead_pages = 0},
-                 latency);
-  BufferPool pool(BufferPool::Options{.capacity_pages = 8, .num_shards = 3},
-                  &os, latency);
-  for (uint32_t p = 0; p < 100; ++p) {
-    const PageId page{1 + p % 5, p};
-    const size_t s = pool.ShardOf(page);
-    EXPECT_LT(s, 3u);
-    EXPECT_EQ(pool.ShardOf(page), s);  // stable
-  }
-}
-
-TEST(ShardedPoolTest, SoloRunMatchesUnshardedWithoutEvictions) {
-  // With capacity for every distinct page, per-shard replacement can never
-  // diverge from the unsharded pool — every counter and every latency must
-  // be field-for-field identical. This is the determinism contract of the
-  // refactor in its purest observable form.
-  LatencyModel latency;
-  auto run = [&](size_t shards) {
-    OsPageCache os(OsPageCache::Options{.capacity_pages = 512,
-                                        .readahead_pages = 0},
-                   latency);
-    BufferPool pool(
-        BufferPool::Options{.capacity_pages = 128, .num_shards = shards},
-        &os, latency);
-    Pcg32 rng(7, 7);
-    SimTime total_latency = 0;
-    for (int i = 0; i < 400; ++i) {
-      const PageId page{1 + rng.UniformU32(4), rng.UniformU32(30)};
-      total_latency += (*pool.FetchPage(page, i)).latency_us;
-    }
-    return std::make_pair(pool.stats(), total_latency);
-  };
-  const auto [s1, l1] = run(1);
-  const auto [s4, l4] = run(4);
-  EXPECT_EQ(l1, l4);
-  EXPECT_EQ(s1.fetches, s4.fetches);
-  EXPECT_EQ(s1.buffer_hits, s4.buffer_hits);
-  EXPECT_EQ(s1.os_cache_copies, s4.os_cache_copies);
-  EXPECT_EQ(s1.disk_seq_reads, s4.disk_seq_reads);
-  EXPECT_EQ(s1.disk_random_reads, s4.disk_random_reads);
-  EXPECT_EQ(s1.evictions, 0u);
-  EXPECT_EQ(s4.evictions, 0u);
-  EXPECT_EQ(s1.uncached_reads, s4.uncached_reads);
-}
-
-TEST(ShardedPoolTest, AggregatesSpanAllShards) {
-  LatencyModel latency;
-  OsPageCache os(OsPageCache::Options{.capacity_pages = 512,
-                                      .readahead_pages = 0},
-                 latency);
-  BufferPool pool(BufferPool::Options{.capacity_pages = 64, .num_shards = 4},
-                  &os, latency);
-  // 48 distinct pages land across shards; totals must reduce over all of
-  // them, and pins in any shard must show up in pinned_frames().
-  for (uint32_t p = 0; p < 48; ++p) pool.FetchPage(PageId{1 + p % 3, p}, p);
-  EXPECT_EQ(pool.stats().fetches, 48u);
-  EXPECT_EQ(pool.used_frames(), 48u);
-  for (uint32_t p = 0; p < 8; ++p) pool.Pin(PageId{1 + p % 3, p});
-  EXPECT_EQ(pool.pinned_frames(), 8u);
-  EXPECT_DOUBLE_EQ(pool.UnevictablePressure(100), 8.0 / 64.0);
-  pool.Reset();
-  EXPECT_EQ(pool.used_frames(), 0u);
-  EXPECT_EQ(pool.pinned_frames(), 0u);
-}
-
-TEST(ShardedPoolTest, UnevictableCountMatchesPerPageReference) {
+TEST(BufferPoolInvariantTest, UnevictableCountMatchesPerPageReference) {
   // The pool keeps its unevictable count as frames change. Seeded random
   // fetches, pinned and unpinned prefetches, pins, unpins and resets, with
   // `now` drawn out of order as the replay loop's governor calls are, must
@@ -488,87 +409,60 @@ TEST(ShardedPoolTest, UnevictableCountMatchesPerPageReference) {
   // `now` are what a count pruned at the latest `now` would get wrong.
   LatencyModel latency;
   constexpr size_t kCapacity = 16;
-  for (const size_t shards : {size_t{1}, size_t{4}}) {
-    for (uint64_t seed = 1; seed <= 4; ++seed) {
-      OsPageCache os(OsPageCache::Options{.capacity_pages = 256,
-                                          .readahead_pages = 0},
-                     latency);
-      BufferPool pool(BufferPool::Options{.capacity_pages = kCapacity,
-                                          .num_shards = shards},
-                      &os, latency);
-      Pcg32 rng(seed, shards);
-      std::set<PageId> touched;
-      for (int op = 0; op < 1500; ++op) {
-        const SimTime now = rng.UniformU32(1000);
-        const PageId page{1 + rng.UniformU32(2), rng.UniformU32(24)};
-        touched.insert(page);
-        const uint32_t kind = rng.UniformU32(100);
-        if (kind < 30) {
-          ASSERT_TRUE(pool.FetchPage(page, now).ok());
-        } else if (kind < 65) {
-          // Rejected when the shard is all pinned or in flight; the count
-          // must not move then either.
-          const SimTime completion = now + rng.UniformU32(600);
-          (void)pool.StartPrefetch(page, completion, /*pin=*/kind >= 50, now);
-        } else if (kind < 75) {
-          pool.Pin(page);
-        } else if (kind < 99) {
-          pool.Unpin(page);
-        } else {
-          pool.Reset();
-        }
-        const SimTime probes[] = {0, now, now + 1, rng.UniformU32(1600),
-                                  rng.UniformU32(1600), 1u << 20};
-        for (const SimTime t : probes) {
-          size_t expected = 0;
-          for (const PageId& p : touched) {
-            if (pool.Contains(p) &&
-                (pool.IsPinned(p) || pool.IsInFlight(p, t))) {
-              ++expected;
-            }
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    OsPageCache os(OsPageCache::Options{.capacity_pages = 256,
+                                        .readahead_pages = 0},
+                   latency);
+    BufferPool pool(BufferPool::Options{.capacity_pages = kCapacity}, &os,
+                    latency);
+    Pcg32 rng(seed, 1);
+    std::set<PageId> touched;
+    for (int op = 0; op < 1500; ++op) {
+      const SimTime now = rng.UniformU32(1000);
+      const PageId page{1 + rng.UniformU32(2), rng.UniformU32(24)};
+      touched.insert(page);
+      const uint32_t kind = rng.UniformU32(100);
+      if (kind < 30) {
+        ASSERT_TRUE(pool.FetchPage(page, now).ok());
+      } else if (kind < 65) {
+        // Rejected when the pool is all pinned or in flight; the count
+        // must not move then either.
+        const SimTime completion = now + rng.UniformU32(600);
+        (void)pool.StartPrefetch(page, completion, /*pin=*/kind >= 50, now);
+      } else if (kind < 75) {
+        pool.Pin(page);
+      } else if (kind < 99) {
+        pool.Unpin(page);
+      } else {
+        pool.Reset();
+      }
+      const SimTime probes[] = {0, now, now + 1, rng.UniformU32(1600),
+                                rng.UniformU32(1600), 1u << 20};
+      for (const SimTime t : probes) {
+        size_t expected = 0;
+        for (const PageId& p : touched) {
+          if (pool.Contains(p) &&
+              (pool.IsPinned(p) || pool.IsInFlight(p, t))) {
+            ++expected;
           }
-          ASSERT_DOUBLE_EQ(pool.UnevictablePressure(t),
-                           static_cast<double>(expected) / kCapacity)
-              << "shards " << shards << " seed " << seed << " op " << op
-              << " t " << t;
         }
+        ASSERT_DOUBLE_EQ(pool.UnevictablePressure(t),
+                         static_cast<double>(expected) / kCapacity)
+            << "seed " << seed << " op " << op << " t " << t;
       }
     }
   }
 }
 
-TEST(ShardedPoolTest, LockProfilingCountsAcquisitions) {
-  LatencyModel latency;
-  OsPageCache os(OsPageCache::Options{.capacity_pages = 256,
-                                      .readahead_pages = 0},
-                 latency);
-  BufferPool::Options options;
-  options.capacity_pages = 16;
-  options.num_shards = 2;
-  options.profile_locks = true;
-  BufferPool pool(options, &os, latency);
-  for (uint32_t p = 0; p < 20; ++p) pool.FetchPage(PageId{1, p}, p);
-  const BufferPoolLockStats lock = pool.lock_stats();
-  EXPECT_GE(lock.acquisitions, 20u);
-  EXPECT_EQ(lock.contended, 0u);  // single-threaded: try_lock always wins
-  EXPECT_GT(lock.hold_ns, 0u);
-  pool.ResetStats();
-  EXPECT_EQ(pool.lock_stats().acquisitions, 0u);
-}
-
-TEST(ShardedPoolTest, ConcurrentFetchesKeepInvariants) {
-  // Real threads against a sharded pool: whatever the interleaving, the
-  // fetch count is exact, pins are balanced, and the pool never overfills.
-  // This is the TSan soak target for the sharded-path data-race check.
+TEST(BufferPoolInvariantTest, ConcurrentFetchesKeepInvariants) {
+  // Real threads against one pool: whatever the interleaving, the fetch
+  // count is exact, pins are balanced, and the pool never overfills. This
+  // is the TSan soak target for the pool mutex.
   LatencyModel latency;
   OsPageCache os(OsPageCache::Options{.capacity_pages = 4096,
                                       .readahead_pages = 0},
                  latency);
-  BufferPool::Options options;
-  options.capacity_pages = 256;
-  options.num_shards = 4;
-  options.profile_locks = true;
-  BufferPool pool(options, &os, latency);
+  BufferPool pool(BufferPool::Options{.capacity_pages = 256}, &os, latency);
 
   constexpr int kThreads = 4;
   constexpr int kFetchesPerThread = 2000;
@@ -591,8 +485,6 @@ TEST(ShardedPoolTest, ConcurrentFetchesKeepInvariants) {
             static_cast<uint64_t>(kThreads) * kFetchesPerThread);
   EXPECT_EQ(pool.pinned_frames(), 0u);
   EXPECT_LE(pool.used_frames(), pool.capacity());
-  EXPECT_GE(pool.lock_stats().acquisitions,
-            static_cast<uint64_t>(kThreads) * kFetchesPerThread);
 }
 
 class BufferPoolPolicyTest

@@ -841,7 +841,6 @@ TEST(GrayFailureEndToEndTest, ResetChannelHealthRestoresColdTracker) {
 TEST(GrayFailureEndToEndTest, HedgeSoakParallelFleet) {
   SimOptions opts = GrayEnvOptions(true);
   opts.buffer_pages = 512;
-  opts.buffer_shards = 4;
   opts.channel_breakers = true;
   opts.faults.brownout_start_read = 8;
   SimEnvironment env(opts);

@@ -128,15 +128,6 @@ TEST(IoSchedulerTest, ParallelChannelsOverlap) {
   EXPECT_EQ(io.Schedule(0, 100), 200u);  // back to channel 0
 }
 
-TEST(IoSchedulerTest, EarliestStart) {
-  IoScheduler io(2);
-  io.Schedule(0, 100);
-  EXPECT_EQ(io.EarliestStart(0), 0u);    // channel 1 still free
-  io.Schedule(0, 50);
-  EXPECT_EQ(io.EarliestStart(0), 50u);   // both busy; min completion 50
-  EXPECT_EQ(io.EarliestStart(80), 80u);  // now past completion
-}
-
 TEST(IoSchedulerTest, ResetClearsTimelines) {
   IoScheduler io(1);
   io.Schedule(0, 1000);
